@@ -193,6 +193,18 @@ class CardinalityEstimate:
     (2.5*L, 2^32/30]; outside it the formula is reported uncorrected."""
 
 
+def _bit_length(values: np.ndarray) -> np.ndarray:
+    """Exact ``int.bit_length`` of each uint64, as int64.
+
+    Shifting out the low 32 bits of values that have high bits leaves
+    numbers below 2**32, which float64 holds exactly, so frexp's exponent
+    is their bit length (0 for 0). The whole value in float64 would round.
+    """
+    shift = (values >> np.uint64(32) != 0).astype(np.uint64) << np.uint64(5)
+    _, length = np.frexp((values >> shift).astype(np.float64))
+    return length + shift.astype(np.int64)
+
+
 class HllSketch:
     """2^M max-rank registers over an N-bit hash."""
 
@@ -236,10 +248,8 @@ class HllSketch:
         h = self.hash.bit_hash_many(items, self.n_bits)
         value_bits = self.n_bits - self.m_bits
         buckets = (h >> np.uint64(value_bits)).astype(np.int64)
-        rest = h & np.uint64((1 << value_bits) - 1)
-        m, e = np.frexp(rest.astype(np.float64))
-        bit_len = np.where(rest == 0, 0, e).astype(np.int64)
-        rho = value_bits - bit_len + 1
+        h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
+        rho = value_bits - _bit_length(h) + 1
         np.maximum.at(self.registers, buckets, rho.astype(np.uint8))
 
     def is_empty(self) -> bool:

@@ -167,9 +167,8 @@ def _check_merge_linearity() -> Optional[str]:
             whole = cls.from_budget(2048, 2, trial)
             whole.insert_many(np.concatenate([s1, s2]))
             merged = part_a.merge(part_b)
-            for field in ("counters", "cm_counters", "c_counters"):
-                lhs, rhs = getattr(merged, field, None), getattr(whole, field, None)
-                if lhs is not None and not (lhs == rhs).all():
+            for field in cls.FIELDS:
+                if not (getattr(merged, field) == getattr(whole, field)).all():
                     return f"{cls.__name__} merge differs from whole-stream sketch"
     return None
 

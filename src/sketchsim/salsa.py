@@ -15,6 +15,11 @@ that merged differently are aligned (coarsest common refinement of both
 layouts) before the weighted two-field estimate runs over their common
 logical slots.
 
+The sketch shares its params, hashing, entry points and compatibility
+checks with the grid sketches of :mod:`sketchsim.sketches`, and scores
+each aligned row with the grid's :func:`weighted_row_similarity`. Only
+the row storage and its growth are its own.
+
 Logical counter extents obey the buddy discipline: power-of-two byte
 lengths, start aligned to length, tiling the row exactly. This is what
 makes alignment decidable and terminating.
@@ -29,15 +34,12 @@ import numpy as np
 from sketchsim.core import (
     Algo,
     BudgetTooSmallError,
-    IncompatibleSketchError,
-    ItemId,
     JaccardEstimate,
     RowSaturatedError,
     SketchParams,
-    UndefinedSimilarityError,
     clamped_estimate,
 )
-from sketchsim.hashing import HashFamily
+from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 
 # Per initial slot: one cm byte, one c byte, and one merge-indicator bit
 # per field byte. Memory accounting is bit-granular because 18 bits is
@@ -158,10 +160,6 @@ class SalsaRow:
                 and abs(int(self.c[start]) + d_c) <= self._c_cap(n)
             ):
                 break
-            if n == self.width:
-                raise RowSaturatedError(
-                    f"counter spans the whole {self.width}-byte row and cannot grow"
-                )
             start, g = self._grow(start, g)
         self.cm[start] += d_cm
         self.c[start] += d_c
@@ -189,25 +187,7 @@ class SalsaRow:
         return sum(int(self.c[s]) for s, _ in self.extents())
 
 
-def _aligned_row_estimate(a: SalsaRow, b: SalsaRow) -> float:
-    starts = [s for s, _ in a.extents()]
-    cm_a = a.cm[starts]
-    cm_b = b.cm[starts]
-    max_cm = np.maximum(cm_a, cm_b)
-    denom = int(max_cm.sum())
-    if denom == 0:
-        return 0.0
-    c_a = a.c[starts]
-    c_b = b.c[starts]
-    # Sign-based gate avoids any product-overflow concern for huge counters.
-    mask = (np.sign(c_a) * np.sign(c_b)) > 0
-    mag_a, mag_b = np.abs(c_a), np.abs(c_b)
-    sub = np.zeros(len(starts), dtype=np.float64)
-    np.divide(np.minimum(mag_a, mag_b), np.maximum(mag_a, mag_b), out=sub, where=mask)
-    return float((max_cm * sub).sum()) / denom
-
-
-class SalsaSimilaritySketch:
+class SalsaSimilaritySketch(_CounterSketch):
     """Weighted similarity sketch over self-adjusting byte counters."""
 
     ALGO = Algo.SALSA
@@ -215,51 +195,31 @@ class SalsaSimilaritySketch:
     def __init__(self, params: SketchParams) -> None:
         if params.width & (params.width - 1):
             raise ValueError(f"width must be a power of two, got {params.width}")
-        self.params = params
-        self.hash = HashFamily(params.master_seed, params.rows)
+        super().__init__(params)
         self.rows = [SalsaRow(params.width) for _ in range(params.rows)]
-        self.total_inserted = 0
 
     @classmethod
-    def from_budget(
-        cls, memory_bytes: int, rows: int, master_seed: int
-    ) -> "SalsaSimilaritySketch":
-        width = salsa_width(memory_bytes, rows)
-        params = SketchParams(
-            rows=rows, width=width, master_seed=master_seed, memory_bytes=memory_bytes
-        )
-        return cls(params)
-
-    def is_empty(self) -> bool:
-        return self.total_inserted == 0
-
-    def insert(self, item: ItemId) -> None:
-        for i, row in enumerate(self.rows):
-            pos = self.hash.index_hash(item, i, self.params.width)
-            row.add(pos, 1, self.hash.sign_hash(item, i))
-        self.total_inserted += 1
+    def _budget_width(cls, memory_bytes: int, rows: int) -> int:
+        return salsa_width(memory_bytes, rows)
 
     def insert_many(self, items) -> None:
+        """Insert a batch; raises without applying anything on saturation.
+
+        Updates go to copies of the rows, which replace the rows only
+        once every row has absorbed the whole batch.
+        """
         items = np.ascontiguousarray(items, dtype=np.uint64)
         if items.size == 0:
             return
-        for i, row in enumerate(self.rows):
+        staged = [row.copy() for row in self.rows]
+        for i, row in enumerate(staged):
             positions = self.hash.index_hash_many(items, i, self.params.width).tolist()
             signs = self.hash.sign_hash_many(items, i).tolist()
             add = row.add
             for pos, sign in zip(positions, signs):
                 add(pos, 1, sign)
+        self.rows = staged
         self.total_inserted += items.size
-
-    def _check_compatible(self, other: "SalsaSimilaritySketch") -> None:
-        if type(self) is not type(other):
-            raise IncompatibleSketchError(
-                f"cannot compare {type(self).__name__} with {type(other).__name__}"
-            )
-        if self.params != other.params:
-            raise IncompatibleSketchError(
-                f"sketch geometry differs: {self.params} vs {other.params}"
-            )
 
     def align_with(self, other: "SalsaSimilaritySketch") -> None:
         """In-place layout alignment of both sketches, row by row."""
@@ -273,14 +233,13 @@ class SalsaSimilaritySketch:
         Alignment runs on private copies so neither operand's layout is
         coarsened by estimation.
         """
-        self._check_compatible(other)
-        if self.is_empty() and other.is_empty():
-            raise UndefinedSimilarityError("both sketches are empty")
+        self._check_estimable(other)
         acc = 0.0
         for row_a, row_b in zip(self.rows, other.rows):
             ca, cb = row_a.copy(), row_b.copy()
             ca.align(cb)
-            acc += _aligned_row_estimate(ca, cb)
+            starts = [s for s, _ in ca.extents()]
+            acc += weighted_row_similarity(ca.cm[starts], cb.cm[starts], ca.c[starts], cb.c[starts])
         raw = acc / self.params.rows
         return clamped_estimate(raw, Algo.SALSA)
 

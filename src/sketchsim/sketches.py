@@ -1,17 +1,18 @@
 """Counter-grid similarity sketches.
 
-Three fixed-geometry variants over the same rows-by-width grid layout:
+Every grid variant is a set of counter fields over one rows-by-width
+grid, filled by a single insert path: per row, an item hashes to one
+slot, an unsigned field counts its arrivals there, and a signed field
+adds its sign hash. The variants differ only in which fields they hold
+and how they compare slots:
 
-* :class:`CmSimilaritySketch`: unsigned counters; the estimate is the
+* :class:`CmSimilaritySketch`: one unsigned field; the estimate is the
   minimum over rows of (sum of per-slot minima) / (sum of per-slot
   maxima). Never under-estimates the true multiset Jaccard.
-* :class:`CountSimilaritySketch`: sign-hashed counters; the estimate is
-  the uniform average over all slots of min/max of magnitudes, counting
-  only slots where the two counters agree in sign.
-* :class:`WeightedSimilaritySketch`: two fields per slot (an unsigned
-  count and a signed count); per row, slot similarities from the signed
-  field are averaged with weights proportional to the per-slot maximum
-  of the unsigned field.
+* :class:`CountSimilaritySketch`: one signed field; the estimate is the
+  uniform average over all slots of :func:`sign_gated_ratios`.
+* :class:`WeightedSimilaritySketch`: both fields; each row's estimate is
+  :func:`weighted_row_similarity`, and the rows are averaged.
 
 All variants are linear in the stream: merging two sketches equals
 sketching the concatenated streams, counter for counter.
@@ -23,7 +24,7 @@ without wraparound.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from sketchsim.core import (
     SketchParams,
     UndefinedSimilarityError,
     clamped_estimate,
+    derive_width,
 )
 from sketchsim.hashing import HashFamily
-from sketchsim.oracle import ExactMultiset
 
 _CM_MAX = (1 << 32) - 1
 # Symmetric signed bounds; the negative end of two's complement is unused
@@ -46,33 +47,54 @@ _CM_MAX = (1 << 32) - 1
 _C_MAX = (1 << 31) - 1
 
 
-class _GridSketch:
-    """Geometry, hashing, and compatibility shared by the grid variants."""
+def sign_gated_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-slot min/max of ``|a|`` and ``|b|``; 0 where the signs differ
+    or either side is 0. Gating on signs, not on ``a * b``, cannot
+    overflow however large the counters grow."""
+    mask = (np.sign(a) * np.sign(b)) > 0
+    mag_a, mag_b = np.abs(a), np.abs(b)
+    ratios = np.zeros(np.shape(a), dtype=np.float64)
+    np.divide(np.minimum(mag_a, mag_b), np.maximum(mag_a, mag_b), out=ratios, where=mask)
+    return ratios
+
+
+def weighted_row_similarity(
+    cm_a: np.ndarray, cm_b: np.ndarray, c_a: np.ndarray, c_b: np.ndarray
+) -> float:
+    """One row of the weighted estimator: the signed fields' slot ratios,
+    averaged with weights max(cm_a, cm_b). An all-zero row gives 0."""
+    max_cm = np.maximum(cm_a, cm_b)
+    denom = int(max_cm.sum())
+    if denom == 0:
+        return 0.0
+    return float((max_cm * sign_gated_ratios(c_a, c_b)).sum()) / denom
+
+
+class _CounterSketch:
+    """Params, hashing, entry points and compatibility of every counter
+    sketch. Subclasses supply ``insert_many`` and ``_budget_width``."""
 
     ALGO: Algo
-    SLOT_BYTES: int
 
-    def __init__(self, params: SketchParams, track_slots: bool = False) -> None:
+    def __init__(self, params: SketchParams) -> None:
         self.params = params
         self.hash = HashFamily(params.master_seed, params.rows)
         self.total_inserted = 0
-        # Per-slot pre-image multisets; debug-only, for bound checks on
-        # small instances. The production insert path never touches it.
-        self._slot_items: Dict[Tuple[int, int], Dict[ItemId, int]] | None = (
-            {} if track_slots else None
-        )
 
     @classmethod
-    def from_budget(
-        cls, memory_bytes: int, rows: int, master_seed: int, track_slots: bool = False
-    ):
-        params = SketchParams.derive(memory_bytes, rows, cls.SLOT_BYTES, master_seed)
-        return cls(params, track_slots=track_slots)
+    def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
+        width = cls._budget_width(memory_bytes, rows)
+        return cls(
+            SketchParams(rows=rows, width=width, master_seed=master_seed, memory_bytes=memory_bytes)
+        )
+
+    def insert(self, item: ItemId) -> None:
+        self.insert_many(np.array([item], dtype=np.uint64))
 
     def is_empty(self) -> bool:
         return self.total_inserted == 0
 
-    def _check_compatible(self, other: "_GridSketch") -> None:
+    def _check_compatible(self, other: "_CounterSketch") -> None:
         if type(self) is not type(other):
             raise IncompatibleSketchError(
                 f"cannot compare {type(self).__name__} with {type(other).__name__}"
@@ -82,34 +104,73 @@ class _GridSketch:
                 f"sketch geometry differs: {self.params} vs {other.params}"
             )
 
-    def _track(self, items: np.ndarray) -> None:
-        if self._slot_items is None:
+    def _check_estimable(self, other: "_CounterSketch") -> None:
+        self._check_compatible(other)
+        if self.is_empty() and other.is_empty():
+            raise UndefinedSimilarityError("both sketches are empty")
+
+
+def _check_range(values: np.ndarray, signed: bool, what: str) -> None:
+    if signed and int(np.abs(values).max(initial=0)) > _C_MAX:
+        raise CounterOverflowError(f"{what} would exceed the signed 32-bit counter range")
+    if not signed and int(values.max(initial=0)) > _CM_MAX:
+        raise CounterOverflowError(f"{what} would exceed the 32-bit counter range")
+
+
+class _GridSketch(_CounterSketch):
+    """Counter fields over one rows-by-width grid.
+
+    ``FIELDS`` maps each field's attribute name to whether it is signed.
+    An unsigned field counts arrivals per slot; a signed field sums the
+    arrivals' sign hashes.
+    """
+
+    SLOT_BYTES: int
+    FIELDS: Dict[str, bool]
+
+    def __init__(self, params: SketchParams) -> None:
+        super().__init__(params)
+        for name in self.FIELDS:
+            setattr(self, name, np.zeros((params.rows, params.width), dtype=np.int64))
+
+    @classmethod
+    def _budget_width(cls, memory_bytes: int, rows: int) -> int:
+        return derive_width(memory_bytes, rows, cls.SLOT_BYTES)
+
+    def insert_many(self, items) -> None:
+        """Insert a batch; raises without applying anything on overflow."""
+        items = np.ascontiguousarray(items, dtype=np.uint64)
+        if items.size == 0:
             return
-        for item in items:
-            item = int(item)
-            for row in range(self.params.rows):
-                slot = self.hash.index_hash(item, row, self.params.width)
-                bucket = self._slot_items.setdefault((row, slot), {})
-                bucket[item] = bucket.get(item, 0) + 1
+        width = self.params.width
+        signed = any(self.FIELDS.values())
+        deltas: Dict[bool, list] = {False: [], True: []}
+        for row in range(self.params.rows):
+            idx = self.hash.index_hash_many(items, row, width)
+            arrivals = np.bincount(idx, minlength=width)
+            deltas[False].append(arrivals)
+            if signed:
+                signs = self.hash.sign_hash_many(items, row)
+                # Positive minus negative arrivals, from one masked count.
+                deltas[True].append(2 * np.bincount(idx[signs > 0], minlength=width) - arrivals)
+        totals = {}
+        for name, is_signed in self.FIELDS.items():
+            totals[name] = getattr(self, name) + np.stack(deltas[is_signed])
+            _check_range(totals[name], is_signed, f"insert into {name}")
+        for name, total in totals.items():
+            getattr(self, name)[...] = total
+        self.total_inserted += items.size
 
-    def slot_preimage(self, row: int, slot: int) -> ExactMultiset:
-        """Exact sub-multiset routed to (row, slot). Requires track_slots."""
-        if self._slot_items is None:
-            raise ValueError("sketch was built without track_slots=True")
-        return ExactMultiset(self._slot_items.get((row, slot), {}))
-
-    def _merge_tracking(self, other: "_GridSketch") -> None:
-        if self._slot_items is None or other._slot_items is None:
-            self._slot_items = None
-            return
-        for key, bucket in other._slot_items.items():
-            mine = self._slot_items.setdefault(key, {})
-            for item, count in bucket.items():
-                mine[item] = mine.get(item, 0) + count
-
-    @staticmethod
-    def _as_item_array(items) -> np.ndarray:
-        return np.ascontiguousarray(items, dtype=np.uint64)
+    def merge(self, other: "_GridSketch") -> "_GridSketch":
+        """Field-wise sum; equivalent to sketching the concatenated streams."""
+        self._check_compatible(other)
+        merged = type(self)(self.params)
+        for name, is_signed in self.FIELDS.items():
+            total = getattr(self, name) + getattr(other, name)
+            _check_range(total, is_signed, f"merge of {name}")
+            setattr(merged, name, total)
+        merged.total_inserted = self.total_inserted + other.total_inserted
+        return merged
 
 
 class CmSimilaritySketch(_GridSketch):
@@ -117,52 +178,11 @@ class CmSimilaritySketch(_GridSketch):
 
     ALGO = Algo.CM
     SLOT_BYTES = 4
-
-    def __init__(self, params: SketchParams, track_slots: bool = False) -> None:
-        super().__init__(params, track_slots)
-        self.counters = np.zeros((params.rows, params.width), dtype=np.int64)
-
-    def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
-
-    def insert_many(self, items) -> None:
-        """Insert a batch; raises without applying anything on overflow."""
-        items = self._as_item_array(items)
-        if items.size == 0:
-            return
-        deltas = []
-        for row in range(self.params.rows):
-            idx = self.hash.index_hash_many(items, row, self.params.width)
-            deltas.append(np.bincount(idx, minlength=self.params.width))
-        for row, delta in enumerate(deltas):
-            if int((self.counters[row] + delta).max()) > _CM_MAX:
-                raise CounterOverflowError(
-                    f"row {row} would exceed the 32-bit counter range"
-                )
-        for row, delta in enumerate(deltas):
-            self.counters[row] += delta
-        self.total_inserted += items.size
-        self._track(items)
-
-    def merge(self, other: "CmSimilaritySketch") -> "CmSimilaritySketch":
-        """Counter-wise sum; equivalent to sketching the concatenated streams."""
-        self._check_compatible(other)
-        merged = type(self)(self.params)
-        summed = self.counters + other.counters
-        if int(summed.max(initial=0)) > _CM_MAX:
-            raise CounterOverflowError("merge would exceed the 32-bit counter range")
-        merged.counters = summed
-        merged.total_inserted = self.total_inserted + other.total_inserted
-        if self._slot_items is not None and other._slot_items is not None:
-            merged._slot_items = {k: dict(v) for k, v in self._slot_items.items()}
-            merged._merge_tracking(other)
-        return merged
+    FIELDS = {"counters": False}
 
     def row_ratios(self, other: "CmSimilaritySketch") -> np.ndarray:
         """Per-row (sum of minima)/(sum of maxima); the estimate is their min."""
-        self._check_compatible(other)
-        if self.is_empty() and other.is_empty():
-            raise UndefinedSimilarityError("both sketches are empty")
+        self._check_estimable(other)
         mins = np.minimum(self.counters, other.counters).sum(axis=1)
         maxs = np.maximum(self.counters, other.counters).sum(axis=1)
         # Every row counts every insertion, so maxs > 0 once either
@@ -179,44 +199,7 @@ class CountSimilaritySketch(_GridSketch):
 
     ALGO = Algo.COUNT
     SLOT_BYTES = 4
-
-    def __init__(self, params: SketchParams, track_slots: bool = False) -> None:
-        super().__init__(params, track_slots)
-        self.counters = np.zeros((params.rows, params.width), dtype=np.int64)
-
-    def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
-
-    def insert_many(self, items) -> None:
-        items = self._as_item_array(items)
-        if items.size == 0:
-            return
-        deltas = []
-        for row in range(self.params.rows):
-            idx = self.hash.index_hash_many(items, row, self.params.width)
-            signs = self.hash.sign_hash_many(items, row)
-            pos = np.bincount(idx[signs > 0], minlength=self.params.width)
-            neg = np.bincount(idx[signs < 0], minlength=self.params.width)
-            deltas.append(pos - neg)
-        for row, delta in enumerate(deltas):
-            if int(np.abs(self.counters[row] + delta).max()) > _C_MAX:
-                raise CounterOverflowError(
-                    f"row {row} would exceed the signed 32-bit counter range"
-                )
-        for row, delta in enumerate(deltas):
-            self.counters[row] += delta
-        self.total_inserted += items.size
-        self._track(items)
-
-    def merge(self, other: "CountSimilaritySketch") -> "CountSimilaritySketch":
-        self._check_compatible(other)
-        merged = type(self)(self.params)
-        summed = self.counters + other.counters
-        if int(np.abs(summed).max(initial=0)) > _C_MAX:
-            raise CounterOverflowError("merge would exceed the signed 32-bit range")
-        merged.counters = summed
-        merged.total_inserted = self.total_inserted + other.total_inserted
-        return merged
+    FIELDS = {"counters": True}
 
     def estimate_jaccard(self, other: "CountSimilaritySketch") -> JaccardEstimate:
         """Average over all k*l slots of sign-gated min/max magnitude ratio.
@@ -226,17 +209,7 @@ class CountSimilaritySketch(_GridSketch):
         uniform average, not a bug.
         """
         self._check_compatible(other)
-        a, b = self.counters, other.counters
-        # Magnitudes are <= 2^31 - 1, so the product fits int64.
-        mask = (a * b) > 0
-        mag_a, mag_b = np.abs(a), np.abs(b)
-        ratios = np.zeros(a.shape, dtype=np.float64)
-        np.divide(
-            np.minimum(mag_a, mag_b),
-            np.maximum(mag_a, mag_b),
-            out=ratios,
-            where=mask,
-        )
+        ratios = sign_gated_ratios(self.counters, other.counters)
         raw = float(ratios.sum() / (self.params.rows * self.params.width))
         return clamped_estimate(raw, Algo.COUNT)
 
@@ -252,71 +225,12 @@ class WeightedSimilaritySketch(_GridSketch):
 
     ALGO = Algo.WEIGHTED
     SLOT_BYTES = 8
-
-    def __init__(self, params: SketchParams, track_slots: bool = False) -> None:
-        super().__init__(params, track_slots)
-        self.cm_counters = np.zeros((params.rows, params.width), dtype=np.int64)
-        self.c_counters = np.zeros((params.rows, params.width), dtype=np.int64)
-
-    def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
-
-    def insert_many(self, items) -> None:
-        items = self._as_item_array(items)
-        if items.size == 0:
-            return
-        cm_deltas, c_deltas = [], []
-        for row in range(self.params.rows):
-            idx = self.hash.index_hash_many(items, row, self.params.width)
-            signs = self.hash.sign_hash_many(items, row)
-            cm_deltas.append(np.bincount(idx, minlength=self.params.width))
-            pos = np.bincount(idx[signs > 0], minlength=self.params.width)
-            neg = np.bincount(idx[signs < 0], minlength=self.params.width)
-            c_deltas.append(pos - neg)
-        for row in range(self.params.rows):
-            if int((self.cm_counters[row] + cm_deltas[row]).max()) > _CM_MAX:
-                raise CounterOverflowError(f"row {row} cm field would overflow")
-            if int(np.abs(self.c_counters[row] + c_deltas[row]).max()) > _C_MAX:
-                raise CounterOverflowError(f"row {row} c field would overflow")
-        for row in range(self.params.rows):
-            self.cm_counters[row] += cm_deltas[row]
-            self.c_counters[row] += c_deltas[row]
-        self.total_inserted += items.size
-        self._track(items)
-
-    def merge(self, other: "WeightedSimilaritySketch") -> "WeightedSimilaritySketch":
-        self._check_compatible(other)
-        merged = type(self)(self.params)
-        cm = self.cm_counters + other.cm_counters
-        c = self.c_counters + other.c_counters
-        if int(cm.max(initial=0)) > _CM_MAX or int(np.abs(c).max(initial=0)) > _C_MAX:
-            raise CounterOverflowError("merge would exceed the 32-bit field ranges")
-        merged.cm_counters = cm
-        merged.c_counters = c
-        merged.total_inserted = self.total_inserted + other.total_inserted
-        return merged
+    FIELDS = {"cm_counters": False, "c_counters": True}
 
     def estimate_jaccard(self, other: "WeightedSimilaritySketch") -> JaccardEstimate:
-        self._check_compatible(other)
-        if self.is_empty() and other.is_empty():
-            raise UndefinedSimilarityError("both sketches are empty")
+        self._check_estimable(other)
         acc = 0.0
-        for row in range(self.params.rows):
-            max_cm = np.maximum(self.cm_counters[row], other.cm_counters[row])
-            denom = int(max_cm.sum())
-            if denom == 0:
-                # Unreachable once either sketch is nonempty; kept defensive.
-                continue
-            ca, cb = self.c_counters[row], other.c_counters[row]
-            mask = (ca * cb) > 0
-            mag_a, mag_b = np.abs(ca), np.abs(cb)
-            sub = np.zeros(self.params.width, dtype=np.float64)
-            np.divide(
-                np.minimum(mag_a, mag_b),
-                np.maximum(mag_a, mag_b),
-                out=sub,
-                where=mask,
-            )
-            acc += float((max_cm * sub).sum()) / denom
+        for row in zip(self.cm_counters, other.cm_counters, self.c_counters, other.c_counters):
+            acc += weighted_row_similarity(*row)
         raw = acc / self.params.rows
         return clamped_estimate(raw, Algo.WEIGHTED)

@@ -21,6 +21,7 @@ from sketchsim.baselines import (
     expand_exact_ids,
     occurrence_numbers,
 )
+from sketchsim.hashing import HashFamily
 from sketchsim.oracle import ExactMultiset
 
 
@@ -197,6 +198,21 @@ class TestHll:
         for x in items:
             b.insert(int(x))
         assert (a.registers == b.registers).all()
+
+    @pytest.mark.parametrize("m_bits", [4, 10])
+    def test_insert_many_rank_exact_past_53_value_bits(self, monkeypatch, m_bits):
+        # Float64 rounds these remainders up to the next power of two,
+        # which would overstate their bit length by one.
+        value_bits = 64 - m_bits
+        top = 1 << value_bits
+        rests = [top - 1, top - 2, (1 << 54) - 1, (1 << 53) + 1, 1 << 53, 3, 1, 0]
+        hashes = [(bucket << value_bits) | rest for bucket, rest in enumerate(rests)]
+        crafted = np.array(hashes, dtype=np.uint64)
+        monkeypatch.setattr(HashFamily, "bit_hash_many", lambda self, items, bits: crafted)
+        s = HllSketch(m_bits=m_bits, master_seed=1)
+        s.insert_many(np.arange(len(hashes), dtype=np.uint64))
+        expected = [value_bits - rest.bit_length() + 1 for rest in rests]
+        assert s.registers[: len(rests)].tolist() == expected
 
     def test_union_is_registerwise_max(self):
         rng = np.random.default_rng(8)

@@ -275,6 +275,18 @@ class TestSketch:
             for _ in range(200):
                 s.insert(7)
 
+    def test_saturating_batch_changes_nothing(self):
+        # Width 1, two rows: row 0 saturates at the 128th copy, after it
+        # has absorbed 127 of them and before row 1 sees any.
+        s = SalsaSimilaritySketch.from_budget(8, 2, 0)
+        s.insert_many([1, 2, 3])
+        before = s.dump()
+        with pytest.raises(RowSaturatedError):
+            s.insert_many(np.full(200, 7, dtype=np.uint64))
+        assert s.dump() == before
+        assert [row.total_cm() for row in s.rows] == [3, 3]
+        assert s.total_inserted == 3
+
     def test_non_power_of_two_width_rejected(self):
         params = SketchParams(rows=1, width=6, master_seed=0, memory_bytes=32)
         with pytest.raises(ValueError):

@@ -1,0 +1,85 @@
+"""Contracts shared by the counter sketches.
+
+Weighted's two fields are CM's and Count's fields under one hash family,
+and no sketch's state depends on how a stream is cut into batches.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sketchsim.core import SketchParams
+from sketchsim.salsa import SalsaSimilaritySketch
+from sketchsim.sketches import (
+    CmSimilaritySketch,
+    CountSimilaritySketch,
+    WeightedSimilaritySketch,
+)
+
+GRID_CLASSES = (CmSimilaritySketch, CountSimilaritySketch, WeightedSimilaritySketch)
+
+
+def params(rows, width, seed):
+    return SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 8)
+
+
+def grid_state(s):
+    fields = ("counters", "cm_counters", "c_counters")
+    return {f: getattr(s, f).tolist() for f in fields if hasattr(s, f)}
+
+
+def salsa_state(s):
+    return [(r.level_of.tolist(), r.cm.tolist(), r.c.tolist()) for r in s.rows]
+
+
+class TestWeightedIsCmPlusCount:
+    def test_fields_equal_cm_and_count_counters(self):
+        rng = np.random.default_rng(0)
+        for trial in range(10):
+            rows = int(rng.integers(1, 5))
+            width = int(rng.integers(1, 64))
+            p = params(rows, width, seed=trial)
+            stream = rng.integers(0, 1 << 63, size=int(rng.integers(0, 3000)), dtype=np.uint64)
+            cm, count, weighted = (cls(p) for cls in GRID_CLASSES)
+            for s in (cm, count, weighted):
+                s.insert_many(stream)
+            assert (weighted.cm_counters == cm.counters).all()
+            assert (weighted.c_counters == count.counters).all()
+            assert weighted.total_inserted == cm.total_inserted == count.total_inserted
+
+
+@st.composite
+def chunked_streams(draw, universe=40):
+    stream = draw(st.lists(st.integers(0, universe), max_size=300))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    bounds = [0, *cuts, len(stream)]
+    chunks = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return np.array(stream, dtype=np.uint64), [np.array(c, dtype=np.uint64) for c in chunks]
+
+
+class TestBatchSplitInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(chunked_streams(), st.integers(0, 1 << 32))
+    def test_grid_state_is_independent_of_chunking(self, data, seed):
+        stream, chunks = data
+        for cls in GRID_CLASSES:
+            whole, parts = cls(params(3, 8, seed)), cls(params(3, 8, seed))
+            whole.insert_many(stream)
+            for chunk in chunks:
+                parts.insert_many(chunk)
+            assert grid_state(parts) == grid_state(whole)
+            assert parts.total_inserted == whole.total_inserted == len(stream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunked_streams(universe=3), st.integers(0, 1 << 32))
+    def test_salsa_state_is_independent_of_chunking(self, data, seed):
+        stream, chunks = data
+        # Two slots and four distinct items: long streams push a slot past
+        # one byte, so buddy merges happen mid-stream.
+        p = SketchParams(rows=2, width=2, master_seed=seed, memory_bytes=9)
+        whole, parts = SalsaSimilaritySketch(p), SalsaSimilaritySketch(p)
+        whole.insert_many(stream)
+        for chunk in chunks:
+            parts.insert_many(chunk)
+        assert salsa_state(parts) == salsa_state(whole)
+        assert parts.total_inserted == whole.total_inserted == len(stream)
