@@ -23,6 +23,7 @@ from sketchsim.baselines import (
     MinHashSketch,
     OccurrenceItem,
     expand_cm,
+    expand_cm_ids,
     expand_exact,
     expand_exact_ids,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "compute_re",
     "derive_width",
     "expand_cm",
+    "expand_cm_ids",
     "expand_exact",
     "expand_exact_ids",
     "mix64",

@@ -7,7 +7,9 @@ Jaccard similarity of the expanded sets equals the multiset Jaccard of
 the original streams exactly. Expansion comes in two flavors: an exact
 occurrence table, and a count-min-backed variant that may over-report
 occurrence numbers under collisions (cheaper, slightly lossy; both are
-offered because either may feed the benchmark).
+offered because either may feed the benchmark). Each has a streaming
+form over :class:`OccurrenceItem` and a vector form straight to 64-bit
+ids (``expand_exact_ids``, ``expand_cm_ids``) that gives the same ids.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -91,6 +93,25 @@ def expand_exact_ids(items: np.ndarray) -> np.ndarray:
     """Exact occurrence expansion straight to combined 64-bit ids."""
     items = np.asarray(items, dtype=np.uint64)
     occ = occurrence_numbers(items).astype(np.uint64)
+    return mix64_array(mix64_array(items) ^ occ)
+
+
+def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
+    """Vector form of :func:`expand_cm`, straight to combined 64-bit ids.
+
+    The count-min counter an arrival reads is the running count of its
+    bucket, so its occurrence number is the minimum over rows of the
+    bucket sequence's exact occurrence numbers.
+    """
+    items = np.asarray(items, dtype=np.uint64)
+    family = HashFamily(cm_params.master_seed, cm_params.rows)
+    occ = np.min(
+        [
+            occurrence_numbers(family.index_hash_many(items, row, cm_params.width))
+            for row in range(cm_params.rows)
+        ],
+        axis=0,
+    ).astype(np.uint64)
     return mix64_array(mix64_array(items) ^ occ)
 
 

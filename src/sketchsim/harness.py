@@ -21,7 +21,8 @@ from sketchsim.baselines import (
     HllSketch,
     MaxLogHashSketch,
     MinHashSketch,
-    expand_cm,
+    expand_cm,  # unused here; perfbench/spans.py patches harness.expand_cm by name
+    expand_cm_ids,
     expand_exact_ids,
 )
 from sketchsim.core import Algo, SketchError, SketchParams
@@ -90,7 +91,9 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
         return np.frombuffer(data, dtype="<u8").astype(np.uint64)
 
     ids: List[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, which token_id cannot
+    # encode; that is where a line is found not to be UTF-8.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:
@@ -102,7 +105,10 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
                         f"{path}: line {lineno}: expected 'src,dst', got {token!r}"
                     )
                 token = parts[0].strip() + "," + parts[1].strip()
-            ids.append(token_id(token))
+            try:
+                ids.append(token_id(token))
+            except UnicodeEncodeError:
+                raise StreamFormatError(f"{path}: line {lineno}: not valid UTF-8") from None
     return np.array(ids, dtype=np.uint64)
 
 
@@ -254,11 +260,7 @@ def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
     params = SketchParams.derive(
         cfg.adapter_memory_bytes, cfg.adapter_rows, 4, master_seed=seed
     )
-    return np.fromiter(
-        (o.item_id() for o in expand_cm(stream.tolist(), params)),
-        dtype=np.uint64,
-        count=len(stream),
-    )
+    return expand_cm_ids(stream, params)
 
 
 def _estimate(algo: Algo, a, b, set_union_hint: int):

@@ -23,6 +23,16 @@ the row storage and its growth are its own.
 Logical counter extents obey the buddy discipline: power-of-two byte
 lengths, start aligned to length, tiling the row exactly. This is what
 makes alignment decidable and terminating.
+
+A batch insert walks each row's hashed positions in chunks of
+``INSERT_CHUNK`` arrivals. Within a chunk every position resolves to its
+current extent, and per-extent running sums give the value each counter
+would hold after each arrival. Everything before the first arrival that
+would leave its counter's range is applied at once; that arrival alone
+goes through the scalar :meth:`SalsaRow.add`, which grows the counter,
+and the walk resumes after it under the new layout. A row merges at most
+``width - 1`` times, so nearly every arrival takes the vector path, and
+the result equals feeding every arrival through ``add`` in order.
 """
 
 from __future__ import annotations
@@ -45,6 +55,15 @@ from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 # per field byte. Memory accounting is bit-granular because 18 bits is
 # not a whole byte count.
 SLOT_BITS = 18
+
+# Arrivals resolved per vector step of a batch insert.
+INSERT_CHUNK = 1024
+
+# Vector counter caps by level. Caps above level 2 pass int64; they are
+# clamped, which changes no decision, because no counter can exceed the
+# number of arrivals inserted.
+_CM_CAPS = np.array([255, (1 << 16) - 1, (1 << 32) - 1, (1 << 62) - 1], dtype=np.int64)
+_C_CAPS = np.array([127, (1 << 15) - 1, (1 << 31) - 1, (1 << 61) - 1], dtype=np.int64)
 
 
 def salsa_width(memory_bytes: int, rows: int) -> int:
@@ -101,6 +120,11 @@ class SalsaRow:
             g = int(self.level_of[pos])
             yield pos, 1 << g
             pos += 1 << g
+
+    def starts(self) -> np.ndarray:
+        """Start positions of all extents, ascending."""
+        pos = np.arange(self.width)
+        return np.flatnonzero((pos & ((1 << self.level_of.astype(np.int64)) - 1)) == 0)
 
     def dump(self) -> List[Tuple[int, int, int, int]]:
         """Debug view: (start, byte_len, cm, c) per logical counter."""
@@ -164,6 +188,44 @@ class SalsaRow:
         self.cm[start] += d_cm
         self.c[start] += d_c
 
+    def add_many(self, positions: np.ndarray, signs: np.ndarray) -> None:
+        """Apply ``add(pos, 1, sign)`` for each arrival in order.
+
+        Raises :class:`RowSaturatedError` as ``add`` does, after applying
+        the arrivals before the saturating one.
+        """
+        lo = 0
+        while lo < len(positions):
+            pos = positions[lo : lo + INSERT_CHUNK]
+            sign = signs[lo : lo + INSERT_CHUNK]
+            level = self.level_of[pos].astype(np.int64)
+            start = (pos >> level) << level
+            # Group arrivals by extent, keeping arrival order within a group.
+            order = np.argsort(start, kind="stable")
+            s_start, s_sign = start[order], sign[order]
+            first = np.empty(len(pos), dtype=bool)
+            first[0] = True
+            first[1:] = s_start[1:] != s_start[:-1]
+            head = np.maximum.accumulate(np.where(first, np.arange(len(pos)), 0))
+            s_cm = self.cm[s_start] + (np.arange(len(pos)) - head + 1)
+            csum = np.cumsum(s_sign)
+            s_c = self.c[s_start] + csum - (csum[head] - s_sign[head])
+            s_level = np.minimum(level[order], 3)
+            over = (s_cm > _CM_CAPS[s_level]) | (np.abs(s_c) > _C_CAPS[s_level])
+            stop = int(order[over].min()) if over.any() else len(pos)
+            # Each extent takes the running value of its last arrival
+            # before ``stop``; within a group those arrivals form a prefix.
+            kept = order < stop
+            last = kept.copy()
+            last[:-1] &= ~(kept[1:] & ~first[1:])
+            self.cm[s_start[last]] = s_cm[last]
+            self.c[s_start[last]] = s_c[last]
+            if stop == len(pos):
+                lo += stop
+            else:
+                self.add(int(pos[stop]), 1, int(sign[stop]))
+                lo += stop + 1
+
     def align(self, other: "SalsaRow") -> None:
         """Coarsest common refinement of both layouts; mutates both rows."""
         pos = 0
@@ -181,10 +243,10 @@ class SalsaRow:
             pos += 1 << g
 
     def total_cm(self) -> int:
-        return sum(int(self.cm[s]) for s, _ in self.extents())
+        return int(self.cm[self.starts()].sum())
 
     def total_c(self) -> int:
-        return sum(int(self.c[s]) for s, _ in self.extents())
+        return int(self.c[self.starts()].sum())
 
 
 class SalsaSimilaritySketch(_CounterSketch):
@@ -213,11 +275,10 @@ class SalsaSimilaritySketch(_CounterSketch):
             return
         staged = [row.copy() for row in self.rows]
         for i, row in enumerate(staged):
-            positions = self.hash.index_hash_many(items, i, self.params.width).tolist()
-            signs = self.hash.sign_hash_many(items, i).tolist()
-            add = row.add
-            for pos, sign in zip(positions, signs):
-                add(pos, 1, sign)
+            row.add_many(
+                self.hash.index_hash_many(items, i, self.params.width),
+                self.hash.sign_hash_many(items, i),
+            )
         self.rows = staged
         self.total_inserted += items.size
 
@@ -238,7 +299,7 @@ class SalsaSimilaritySketch(_CounterSketch):
         for row_a, row_b in zip(self.rows, other.rows):
             ca, cb = row_a.copy(), row_b.copy()
             ca.align(cb)
-            starts = [s for s, _ in ca.extents()]
+            starts = ca.starts()
             acc += weighted_row_similarity(ca.cm[starts], cb.cm[starts], ca.c[starts], cb.c[starts])
         raw = acc / self.params.rows
         return clamped_estimate(raw, Algo.SALSA)

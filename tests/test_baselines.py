@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import find_seed, multiset_of, random_stream_pair
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchsim.core import (
     DegenerateEstimateError,
@@ -17,6 +19,7 @@ from sketchsim.baselines import (
     MinHashSketch,
     OccurrenceItem,
     expand_cm,
+    expand_cm_ids,
     expand_exact,
     expand_exact_ids,
     occurrence_numbers,
@@ -108,6 +111,24 @@ class TestCmExpansion:
         # Everything shares the one counter, so the second distinct item
         # reads an inflated occurrence.
         assert out[1] == OccurrenceItem(2, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=300)
+        ),
+        st.integers(1, 3),
+        st.integers(1, 64),
+        st.integers(0, 1 << 32),
+    )
+    @example([], 2, 8, 0)
+    @example([5] * 300, 3, 1, 1)
+    def test_expand_cm_ids_matches_streaming_expansion(self, stream, rows, width, seed):
+        # A pool of at most six distinct items gives heavy duplicates, and
+        # narrow widths make distinct items share buckets in every row.
+        params = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 4)
+        expected = [o.item_id() for o in expand_cm(stream, params)]
+        assert expand_cm_ids(np.array(stream, dtype=np.uint64), params).tolist() == expected
 
     def test_cm_query_never_under_reports(self):
         rng = np.random.default_rng(5)

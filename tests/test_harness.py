@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestReadStream:
         path.write_text("1.2.3.4,5.6.7.8\nnocomma\n")
         with pytest.raises(StreamFormatError, match="line 2"):
             read_stream(str(path), "ipcsv")
+
+    @pytest.mark.parametrize("fmt", ["text", "ipcsv"])
+    def test_non_utf8_rejected_with_position(self, tmp_path, fmt):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n\xff\xfe,c\n")
+        with pytest.raises(StreamFormatError, match=re.escape(f"{path}: line 2")):
+            read_stream(str(path), fmt)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from sketchsim.core import (
     SketchParams,
     UndefinedSimilarityError,
 )
-from sketchsim.salsa import SalsaRow, SalsaSimilaritySketch, salsa_width
+from sketchsim.salsa import INSERT_CHUNK, SalsaRow, SalsaSimilaritySketch, salsa_width
 from sketchsim.sketches import WeightedSimilaritySketch
 
 
@@ -28,6 +28,27 @@ def check_buddy_tiling(row: SalsaRow):
         assert start == covered
         covered += blen
     assert covered == row.width
+
+
+def replay(s, items):
+    """Reference insert: copies of the sketch's rows, fed one arrival at a
+    time through the scalar ``SalsaRow.add``."""
+    items = np.asarray(items, dtype=np.uint64)
+    rows = [row.copy() for row in s.rows]
+    for i, row in enumerate(rows):
+        positions = s.hash.index_hash_many(items, i, s.params.width).tolist()
+        signs = s.hash.sign_hash_many(items, i).tolist()
+        for pos, sign in zip(positions, signs):
+            row.add(pos, 1, sign)
+    return rows
+
+
+def assert_rows_equal(rows, expected):
+    for row, ref in zip(rows, expected, strict=True):
+        starts = [start for start, _ in ref.extents()]
+        assert row.level_of.tolist() == ref.level_of.tolist()
+        assert row.cm[starts].tolist() == ref.cm[starts].tolist()
+        assert row.c[starts].tolist() == ref.c[starts].tolist()
 
 
 class TestWidthDerivation:
@@ -301,3 +322,44 @@ class TestSketch:
         j = multiset_of(sa).jaccard(multiset_of(sb))
         est = a.estimate_jaccard(b)
         assert abs(est.value - j) < 0.25
+
+
+class TestInsertMatchesScalarReplay:
+    @pytest.mark.parametrize("width,universe", [(2, 5), (8, 40), (64, 300), (256, 3000)])
+    def test_batches_longer_than_a_chunk(self, width, universe):
+        # Zipf-skewed items over few slots: counters leave one byte in the
+        # middle of chunks, through cm and through |c|.
+        rng = np.random.default_rng(width)
+        s = sketch(rows=2, width=width, seed=width)
+        for n in (INSERT_CHUNK - 1, 3 * INSERT_CHUNK + 17, 1, 5 * INSERT_CHUNK):
+            items = (rng.zipf(1.3, size=n) % universe).astype(np.uint64)
+            expected = replay(s, items)
+            before = s.total_inserted
+            s.insert_many(items)
+            assert_rows_equal(s.rows, expected)
+            assert s.total_inserted == before + n
+        assert max(int(row.level_of.max()) for row in s.rows) >= 1
+
+    def test_reaches_level_two(self):
+        s = SalsaSimilaritySketch.from_budget(16, 1, 3)
+        items = np.full(200_000, 7, dtype=np.uint64)
+        expected = replay(s, items)
+        s.insert_many(items)
+        assert_rows_equal(s.rows, expected)
+        assert int(s.rows[0].level_of.max()) == 2
+        assert s.rows[0].total_cm() == s.total_inserted == 200_000
+
+    def test_saturating_batch_raises_like_the_replay(self):
+        # Two slots: the row saturates once |c| of the one whole-row
+        # counter passes 32767, several chunks into the batch.
+        s = sketch(rows=2, width=2, seed=5)
+        rng = np.random.default_rng(6)
+        s.insert_many(rng.integers(0, 4, size=3 * INSERT_CHUNK, dtype=np.uint64))
+        before, total = s.dump(), s.total_inserted
+        items = np.full(40_000, 9, dtype=np.uint64)
+        with pytest.raises(RowSaturatedError):
+            replay(s, items)
+        with pytest.raises(RowSaturatedError):
+            s.insert_many(items)
+        assert s.dump() == before
+        assert s.total_inserted == total
