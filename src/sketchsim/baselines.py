@@ -33,7 +33,7 @@ from sketchsim.core import (
     UndefinedSimilarityError,
     clamped_estimate,
 )
-from sketchsim.hashing import HashFamily, HashKind, mix64, mix64_array
+from sketchsim.hashing import MASK64, HashFamily, HashKind, mix64, mix64_array
 
 # Bias constant for rank-based cardinality estimators; good for any
 # register count or union size >= 2.
@@ -169,20 +169,19 @@ class MinHashSketch:
         self.n_inserted = 0
 
     def insert(self, item: ItemId) -> None:
-        for row in range(self.k):
-            u = self.hash.unit_hash(item, row)
-            if u < self.mins[row]:
-                self.mins[row] = u
-        self.n_inserted += 1
+        self.insert_many(np.array([item], dtype=np.uint64))
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
         if items.size == 0:
             return
-        for row in range(self.k):
-            u_min = self.hash.unit_hash_many(items, row).min()
-            if u_min < self.mins[row]:
-                self.mins[row] = u_min
+        # The unit hash is monotone in the raw hash, so the batch minimum
+        # is taken over raw hashes and converted once, exactly.
+        lows = np.full(self.k, MASK64, dtype=np.uint64)
+        for row, (h,) in self.hash.chunk_hashes(items, (HashKind.UNIT,)):
+            lows[row] = min(lows[row], h.min())
+        lows >>= np.uint64(12)
+        np.minimum(self.mins, (lows.astype(np.float64) + 0.5) * 2.0**-52, out=self.mins)
         self.n_inserted += items.size
 
     def is_empty(self) -> bool:
@@ -252,15 +251,7 @@ class HllSketch:
         return ALPHA_INF / (1.0 + ALPHA_INF / self.n_registers)
 
     def insert(self, item: ItemId) -> None:
-        h = self.hash.bit_hash(item, self.n_bits)
-        value_bits = self.n_bits - self.m_bits
-        bucket = h >> value_bits
-        rest = h & ((1 << value_bits) - 1)
-        # rho: leftmost set bit position within the value bits; all-zero
-        # value maps to value_bits + 1.
-        rho = value_bits - rest.bit_length() + 1
-        if rho > self.registers[bucket]:
-            self.registers[bucket] = rho
+        self.insert_many(np.array([item], dtype=np.uint64))
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
@@ -334,29 +325,27 @@ class MaxLogHashSketch:
         self.n_inserted = 0
 
     def insert(self, item: ItemId) -> None:
-        for row in range(self.k):
-            rank = self.hash.unit_rank(item, row)
-            a = self.maxlogs[row]
-            if rank > a:
-                self.maxlogs[row] = rank
-                self.unique_flags[row] = True
-            elif rank == a:
-                self.unique_flags[row] = False
-        self.n_inserted += 1
+        self.insert_many(np.array([item], dtype=np.uint64))
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
         if items.size == 0:
             return
-        for row in range(self.k):
-            ranks = self.hash.unit_rank_many(items, row)
-            top = int(ranks.max())
+        # Per chunk and row: the top rank belongs to the least 52-bit
+        # value r = h >> 12 (rank 52 - bit_length(r), or 53 for r = 0),
+        # and the items tying it are those with r < 2**bit_length. The
+        # update rule gives the same state however a stream is cut, so
+        # chunks apply it in turn.
+        for row, (h,) in self.hash.chunk_hashes(items, (HashKind.UNIT,)):
+            length = (int(h.min()) >> 12).bit_length()
+            top = 53 if length == 0 else 52 - length
             a = int(self.maxlogs[row])
             if top > a:
                 self.maxlogs[row] = top
-                # The flag survives only if a single batch item attains
-                # the new maximum.
-                self.unique_flags[row] = int(np.count_nonzero(ranks == top)) == 1
+                # The flag survives only if a single item attains the new
+                # maximum.
+                h >>= np.uint64(12)
+                self.unique_flags[row] = int(np.count_nonzero(h < np.uint64(1 << length))) == 1
             elif top == a:
                 self.unique_flags[row] = False
         self.n_inserted += items.size

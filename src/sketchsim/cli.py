@@ -16,7 +16,7 @@ import numpy as np
 
 from sketchsim.core import Algo, SketchParams, derive_width
 from sketchsim.baselines import HllSketch, MinHashSketch, expand_exact_ids
-from sketchsim.datagen import ZipfSpec, random_split, zipf_stream
+from sketchsim.datagen import ZipfSpec, random_split, split_seed, zipf_stream
 from sketchsim.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -46,7 +46,7 @@ def _cmd_gen_zipf(args: argparse.Namespace) -> int:
         if not (args.out_a and args.out_b):
             print("gen-zipf: --split-p requires --out-a and --out-b", file=sys.stderr)
             return 2
-        left, right = random_split(stream, args.split_p, args.seed + 1)
+        left, right = random_split(stream, args.split_p, split_seed(args.seed))
         _write_binary(args.out_a, left)
         _write_binary(args.out_b, right)
         print(f"wrote {len(left)} items to {args.out_a}, {len(right)} to {args.out_b}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sketchsim.hashing import mix64_array
+from sketchsim.hashing import mix64, mix64_array
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,15 @@ def zipf_stream(spec: ZipfSpec) -> np.ndarray:
     uniforms = np.random.default_rng(spec.seed).random(spec.n_items)
     indices = np.searchsorted(cdf, uniforms, side="right")
     return rank_ids(spec.n_distinct)[indices]
+
+
+def split_seed(seed: int) -> int:
+    """The seed that splits the stream drawn with ``seed`` into a pair.
+
+    The harness and ``gen-zipf`` both use it, so one seed names one
+    stream pair whichever of them makes it.
+    """
+    return mix64(seed ^ 0x5EED)
 
 
 def random_split(

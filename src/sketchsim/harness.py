@@ -26,8 +26,7 @@ from sketchsim.baselines import (
     expand_exact_ids,
 )
 from sketchsim.core import Algo, SketchError, SketchParams
-from sketchsim.datagen import ZipfSpec, random_split, zipf_stream
-from sketchsim.hashing import mix64
+from sketchsim.datagen import ZipfSpec, random_split, split_seed, zipf_stream
 from sketchsim.oracle import ExactMultiset
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
@@ -322,7 +321,7 @@ def _dataset_for_seed(
         )
     spec = ZipfSpec(cfg.n_items, cfg.n_distinct, cfg.alpha, seed)
     stream = zipf_stream(spec)
-    a, b = random_split(stream, cfg.split_p, mix64(seed ^ 0x5EED))
+    a, b = random_split(stream, cfg.split_p, split_seed(seed))
     return a, b, cfg.alpha
 
 

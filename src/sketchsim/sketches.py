@@ -39,7 +39,7 @@ from sketchsim.core import (
     clamped_estimate,
     derive_width,
 )
-from sketchsim.hashing import HashFamily
+from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind, bucket_of
 
 _CM_MAX = (1 << 32) - 1
 # Symmetric signed bounds; the negative end of two's complement is unused
@@ -144,18 +144,34 @@ class _GridSketch(_CounterSketch):
             return
         width = self.params.width
         signed = any(self.FIELDS.values())
-        deltas: Dict[bool, list] = {False: [], True: []}
-        for row in range(self.params.rows):
-            idx = self.hash.index_hash_many(items, row, width)
-            arrivals = np.bincount(idx, minlength=width)
-            deltas[False].append(arrivals)
+        kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
+        # A signed grid counts slot 2*i + s, where s is the arrival's sign
+        # bit (1 for +1), so one count gives both signs per slot.
+        bins = 2 * width if signed else width
+        counts = np.zeros((self.params.rows, bins), dtype=np.int64)
+        for row, hashes in self.hash.chunk_hashes(items, kinds):
+            idx = bucket_of(hashes[0], width)
             if signed:
-                signs = self.hash.sign_hash_many(items, row)
-                # Positive minus negative arrivals, from one masked count.
-                deltas[True].append(2 * np.bincount(idx[signs > 0], minlength=width) - arrivals)
+                sign_bit = hashes[1]
+                sign_bit >>= np.uint64(63)
+                idx <<= np.uint64(1)
+                idx |= sign_bit
+            idx = idx.view(np.int64)
+            # A dense count costs O(bins) per chunk, a scattered add
+            # O(items) at about 1.5 times bincount's cost per item; the
+            # two cross where the grid has about a chunk's length of bins.
+            if bins < HASH_CHUNK:
+                counts[row] += np.bincount(idx, minlength=bins)
+            else:
+                np.add.at(counts[row], idx, 1)
+        if signed:
+            neg, pos = counts[:, 0::2], counts[:, 1::2]
+            deltas = {False: neg + pos, True: pos - neg}
+        else:
+            deltas = {False: counts}
         totals = {}
         for name, is_signed in self.FIELDS.items():
-            totals[name] = getattr(self, name) + np.stack(deltas[is_signed])
+            totals[name] = getattr(self, name) + deltas[is_signed]
             _check_range(totals[name], is_signed, f"insert into {name}")
         for name, total in totals.items():
             getattr(self, name)[...] = total

@@ -156,13 +156,17 @@ class TestMinHash:
         assert a.estimate_jaccard(b).value == 1.0
 
     def test_insert_many_matches_insert(self):
+        # Both paths must equal the per-row minimum of the scalar unit
+        # hashes.
         rng = np.random.default_rng(6)
         items = rng.integers(0, 1 << 40, size=200, dtype=np.uint64)
         a, b = MinHashSketch(k=32, master_seed=2), MinHashSketch(k=32, master_seed=2)
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        assert (a.mins == b.mins).all()
+        expected = [min(a.hash.unit_hash(int(x), row) for x in items) for row in range(a.k)]
+        assert a.mins.tolist() == expected
+        assert b.mins.tolist() == expected
 
     def test_empty_signature_rejected(self):
         a, b = MinHashSketch(k=8, master_seed=3), MinHashSketch(k=8, master_seed=3)
@@ -211,6 +215,9 @@ class TestHll:
                 assert expected == value_bits + 1
 
     def test_insert_many_matches_insert(self):
+        # Both paths must equal the scalar register rule: the register of
+        # the top m_bits keeps the largest leftmost-one position of the
+        # remaining value bits (value_bits + 1 for all zeros).
         rng = np.random.default_rng(7)
         items = rng.integers(0, 1 << 50, size=3000, dtype=np.uint64)
         a = HllSketch(master_seed=4)
@@ -218,7 +225,14 @@ class TestHll:
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        assert (a.registers == b.registers).all()
+        value_bits = a.n_bits - a.m_bits
+        expected = [0] * a.n_registers
+        for x in items:
+            h = a.hash.bit_hash(int(x), a.n_bits)
+            bucket, rest = h >> value_bits, h & ((1 << value_bits) - 1)
+            expected[bucket] = max(expected[bucket], value_bits - rest.bit_length() + 1)
+        assert a.registers.tolist() == expected
+        assert b.registers.tolist() == expected
 
     @pytest.mark.parametrize("m_bits", [4, 10])
     def test_insert_many_rank_exact_past_53_value_bits(self, monkeypatch, m_bits):
@@ -339,8 +353,18 @@ class TestMaxLogHash:
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        assert (a.maxlogs == b.maxlogs).all()
-        assert (a.unique_flags == b.unique_flags).all()
+        # Both paths must equal the scalar update rule, one item at a time.
+        maxlogs, flags = [-1] * a.k, [True] * a.k
+        for x in items:
+            for row in range(a.k):
+                rank = a.hash.unit_rank(int(x), row)
+                if rank > maxlogs[row]:
+                    maxlogs[row], flags[row] = rank, True
+                elif rank == maxlogs[row]:
+                    flags[row] = False
+        for s in (a, b):
+            assert s.maxlogs.tolist() == maxlogs
+            assert s.unique_flags.tolist() == flags
 
     def test_identical_streams_estimate_one(self):
         a, b = MaxLogHashSketch(k=32, master_seed=4), MaxLogHashSketch(k=32, master_seed=4)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sketchsim.cli import main
-from sketchsim.harness import CSV_HEADER, read_stream
+from sketchsim.core import Algo
+from sketchsim.harness import CSV_HEADER, ExperimentConfig, _dataset_for_seed, read_stream
 
 
 class TestGenZipf:
@@ -40,6 +41,21 @@ class TestGenZipf:
         a = read_stream(str(out_a), "binary")
         b = read_stream(str(out_b), "binary")
         assert len(a) + len(b) == 2000
+
+    @pytest.mark.parametrize("seed", [0, 1, 97])
+    def test_split_pair_equals_the_harness_pair(self, tmp_path, seed):
+        out_a, out_b = tmp_path / "a.bin", tmp_path / "b.bin"
+        argv = ["gen-zipf", "--n-items", "3000", "--n-distinct", "200", "--alpha", "0.6"]
+        argv += ["--seed", str(seed), "--split-p", "0.3"]
+        argv += ["--out-a", str(out_a), "--out-b", str(out_b)]
+        assert main(argv) == 0
+        cfg = ExperimentConfig(
+            algos=(Algo.CM,), memory_bytes=(1024,), rows=(1,), seeds=(seed,),
+            n_items=3000, n_distinct=200, alpha=0.6, split_p=0.3,
+        )
+        a, b, _ = _dataset_for_seed(cfg, seed)
+        assert read_stream(str(out_a), "binary").tolist() == a.tolist()
+        assert read_stream(str(out_b), "binary").tolist() == b.tolist()
 
     def test_split_without_paths_fails(self, tmp_path):
         rc = main(

@@ -1,13 +1,15 @@
-"""Contracts shared by the counter sketches.
+"""Contracts shared by the sketches.
 
 Weighted's two fields are CM's and Count's fields under one hash family,
-and no sketch's state depends on how a stream is cut into batches.
+and no sketch's state, whether a counter grid or a set baseline, depends
+on how a stream is cut into batches.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchsim.baselines import HllSketch, MaxLogHashSketch, MinHashSketch
 from sketchsim.core import SketchParams
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
@@ -32,6 +34,21 @@ def salsa_state(s):
     return [(r.level_of.tolist(), r.cm.tolist(), r.c.tolist()) for r in s.rows]
 
 
+SET_SKETCHES = (
+    lambda seed: MinHashSketch(k=16, master_seed=seed),
+    lambda seed: MaxLogHashSketch(k=16, master_seed=seed),
+    lambda seed: HllSketch(m_bits=4, master_seed=seed),
+)
+
+
+def set_state(s):
+    if isinstance(s, MinHashSketch):
+        return s.mins.tolist(), s.n_inserted
+    if isinstance(s, MaxLogHashSketch):
+        return s.maxlogs.tolist(), s.unique_flags.tolist(), s.n_inserted
+    return s.registers.tolist()
+
+
 class TestWeightedIsCmPlusCount:
     def test_fields_equal_cm_and_count_counters(self):
         rng = np.random.default_rng(0)
@@ -50,6 +67,7 @@ class TestWeightedIsCmPlusCount:
 
 @st.composite
 def chunked_streams(draw, universe=40):
+    # Small universes make all-duplicate pools; repeated cuts make empty parts.
     stream = draw(st.lists(st.integers(0, universe), max_size=300))
     cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=6)))
     bounds = [0, *cuts, len(stream)]
@@ -83,3 +101,17 @@ class TestBatchSplitInvariance:
             parts.insert_many(chunk)
         assert salsa_state(parts) == salsa_state(whole)
         assert parts.total_inserted == whole.total_inserted == len(stream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(chunked_streams(), chunked_streams(universe=0), chunked_streams(universe=2)),
+        st.integers(0, 1 << 32),
+    )
+    def test_set_baseline_state_is_independent_of_chunking(self, data, seed):
+        stream, chunks = data
+        for make in SET_SKETCHES:
+            whole, parts = make(seed), make(seed)
+            whole.insert_many(stream)
+            for chunk in chunks:
+                parts.insert_many(chunk)
+            assert set_state(parts) == set_state(whole)
