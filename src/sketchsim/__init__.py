@@ -40,7 +40,7 @@ from sketchsim.harness import (
     summarize,
 )
 from sketchsim.hashing import HashFamily, HashKind, mix64
-from sketchsim.oracle import ExactMultiset
+from sketchsim.oracle import ExactMultiset, multiset_jaccard
 from sketchsim.salsa import SalsaSimilaritySketch, salsa_width
 from sketchsim.sketches import (
     CmSimilaritySketch,
@@ -89,6 +89,7 @@ __all__ = [
     "expand_exact",
     "expand_exact_ids",
     "mix64",
+    "multiset_jaccard",
     "random_split",
     "read_stream",
     "run_experiment",

@@ -1,4 +1,15 @@
-"""Synthetic Zipf streams and random splitting into stream pairs."""
+"""Synthetic Zipf streams and random splitting into stream pairs.
+
+``zipf_stream`` inverts the Zipf CDF by table lookup. It draws its
+uniforms in chunks of ``ZIPF_CHUNK``, which yields the same doubles as
+one draw of the whole length, and maps each through a guide table
+(Chen & Asau, 1974) of a power-of-two number of equal-width buckets.
+A uniform whose bucket holds at most one CDF entry is resolved by one
+comparison; the others fall back to a binary search. Both give exactly
+the index ``np.searchsorted(cdf, u, side="right")`` would, so the
+stream depends on the seed alone, and no temporary is longer than a
+chunk or the table.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from sketchsim.hashing import mix64, mix64_array
+
+# Uniforms drawn and mapped per step of zipf_stream.
+ZIPF_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,8 +41,9 @@ class ZipfSpec:
             raise ValueError("n_items must be positive")
         if self.n_distinct < 1:
             raise ValueError("n_distinct must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        # Written so that NaN fails too.
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
 
 
 def rank_ids(n_distinct: int) -> np.ndarray:
@@ -39,16 +54,39 @@ def rank_ids(n_distinct: int) -> np.ndarray:
 def zipf_stream(spec: ZipfSpec) -> np.ndarray:
     """Draw spec.n_items ids i.i.d. from the normalized Zipf law.
 
-    Sampling inverts a precomputed cumulative table, so every draw is
-    exact and the stream is fully determined by spec.seed.
+    Sampling inverts a precomputed cumulative table, through the guide
+    table the module docstring describes, so every draw is exact and the
+    stream is fully determined by spec.seed.
     """
     ranks = np.arange(1, spec.n_distinct + 1, dtype=np.float64)
     weights = ranks ** -spec.alpha
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    uniforms = np.random.default_rng(spec.seed).random(spec.n_items)
-    indices = np.searchsorted(cdf, uniforms, side="right")
-    return rank_ids(spec.n_distinct)[indices]
+    ids = rank_ids(spec.n_distinct)
+    # Bucket j covers uniforms in [j/m, (j+1)/m), whose indices lie in
+    # edges[j]..edges[j+1]. With m a power of two, u*m and j/m are exact.
+    # At least 2·n_distinct buckets leave nearly every one holding at
+    # most one CDF entry; start[j] = -1 marks those holding more.
+    m = 1 << (2 * spec.n_distinct - 1).bit_length()
+    bounds = np.arange(m + 1, dtype=np.float64)
+    bounds /= m
+    edges = np.searchsorted(cdf, bounds, side="right")
+    del bounds
+    start = edges[:-1]
+    start[np.diff(edges) > 1] = -1
+    rng = np.random.default_rng(spec.seed)
+    out = np.empty(spec.n_items, dtype=np.uint64)
+    for lo in range(0, spec.n_items, ZIPF_CHUNK):
+        u = rng.random(min(ZIPF_CHUNK, spec.n_items - lo))
+        first = start[(u * m).astype(np.intp)]
+        slow = first < 0
+        # A bucket holding at most one CDF entry maps u to edges[j], plus
+        # one if that entry is <= u.
+        index = first + (cdf[first] <= u)
+        if slow.any():
+            index[slow] = np.searchsorted(cdf, u[slow], side="right")
+        np.take(ids, index, out=out[lo : lo + len(u)])
+    return out
 
 
 def split_seed(seed: int) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 import time
 from dataclasses import dataclass, fields
 from typing import IO, Iterable, List, Sequence, Tuple
@@ -27,7 +29,7 @@ from sketchsim.baselines import (
 )
 from sketchsim.core import Algo, SketchError, SketchParams
 from sketchsim.datagen import ZipfSpec, random_split, split_seed, zipf_stream
-from sketchsim.oracle import ExactMultiset
+from sketchsim.oracle import multiset_jaccard
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
     CmSimilaritySketch,
@@ -73,7 +75,8 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
     """Load a stream file as an array of 64-bit item ids.
 
     Formats: ``text`` is one UTF-8 token per line, each hashed to an id;
-    ``binary`` is consecutive little-endian unsigned 64-bit integers;
+    ``binary`` is consecutive little-endian unsigned 64-bit integers,
+    checked against the file size and then read into the result array;
     ``ipcsv`` is one ``src,dst`` pair per line, the two fields hashed
     together to a single id.
     """
@@ -81,13 +84,21 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
         raise ValueError(f"unknown stream format {format!r}")
     if format == "binary":
         with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) % 8:
-            offset = len(data) - len(data) % 8
-            raise StreamFormatError(
-                f"{path}: trailing {len(data) % 8} bytes at offset {offset}"
-            )
-        return np.frombuffer(data, dtype="<u8").astype(np.uint64)
+            st = os.fstat(fh.fileno())
+            # A pipe has no size to check ahead, so it is read whole.
+            data = None if stat.S_ISREG(st.st_mode) else fh.read()
+            size = st.st_size if data is None else len(data)
+            if size % 8:
+                offset = size - size % 8
+                raise StreamFormatError(
+                    f"{path}: trailing {size % 8} bytes at offset {offset}"
+                )
+            if data is not None:
+                return np.frombuffer(data, dtype="<u8").astype(np.uint64)
+            # Read straight into the result; the cast copies only on a
+            # big-endian host.
+            items = np.fromfile(fh, dtype="<u8", count=size // 8)
+        return items.astype(np.uint64, copy=False)
 
     ids: List[int] = []
     # Undecodable bytes become lone surrogates, which token_id cannot
@@ -342,9 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
     file_pair = _dataset_for_seed(cfg, cfg.seeds[0]) if cfg.from_files else None
     file_truth = None
     if file_pair is not None:
-        file_truth = ExactMultiset.from_array(file_pair[0]).jaccard(
-            ExactMultiset.from_array(file_pair[1])
-        )
+        file_truth = multiset_jaccard(file_pair[0], file_pair[1])
     try:
         for seed in cfg.seeds:
             if file_pair is not None:
@@ -352,9 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
                 j_true = file_truth
             else:
                 raw_a, raw_b, alpha = _dataset_for_seed(cfg, seed)
-                j_true = ExactMultiset.from_array(raw_a).jaccard(
-                    ExactMultiset.from_array(raw_b)
-                )
+                j_true = multiset_jaccard(raw_a, raw_b)
             set_pair = None
             if needs_sets:
                 set_pair = (_expand(raw_a, cfg, seed), _expand(raw_b, cfg, seed))

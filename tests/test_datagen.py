@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from conftest import multiset_of
 
+from sketchsim.cli import main
+from sketchsim.core import Algo
 from sketchsim.datagen import ZipfSpec, rank_ids, random_split, zipf_stream
+from sketchsim.harness import ExperimentConfig, run_experiment
 from sketchsim.hashing import mix64
 
 
@@ -17,6 +20,22 @@ class TestZipfSpec:
 
     def test_zero_alpha_allowed(self):
         ZipfSpec(n_items=10, n_distinct=10, alpha=0.0, seed=0)
+
+    def test_nan_alpha_rejected(self, tmp_path):
+        # NaN passes an `alpha < 0` test and used to yield a stream of
+        # nothing but rank 1.
+        with pytest.raises(ValueError, match="alpha"):
+            ZipfSpec(n_items=10, n_distinct=10, alpha=float("nan"), seed=0)
+        out = tmp_path / "stream.bin"
+        with pytest.raises(ValueError, match="alpha"):
+            main(["gen-zipf", "--n-items", "10", "--n-distinct", "10", "--alpha", "nan", "--out", str(out)])
+        assert not out.exists()
+        cfg = ExperimentConfig(
+            algos=(Algo.CM,), memory_bytes=(1024,), rows=(1,), seeds=(0,),
+            n_items=100, n_distinct=10, alpha=float("nan"),
+        )
+        with pytest.raises(ValueError, match="alpha"):
+            run_experiment(cfg)
 
 
 class TestZipfStream:

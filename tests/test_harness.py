@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from sketchsim import harness
 from sketchsim.core import Algo
 from sketchsim.harness import (
     CSV_HEADER,
@@ -58,6 +61,19 @@ class TestReadStream:
         path.write_bytes(b"\x00" * 19)
         with pytest.raises(StreamFormatError, match="offset 16"):
             read_stream(str(path), "binary")
+
+    def test_binary_from_pipe(self, tmp_path):
+        # A pipe reports no size, so it must be read to its end.
+        path = tmp_path / "items.fifo"
+        os.mkfifo(path)
+        items = np.array([3, 1 << 63, 9], dtype="<u8")
+        writer = threading.Thread(target=path.write_bytes, args=(items.tobytes(),), daemon=True)
+        writer.start()
+        try:
+            assert read_stream(str(path), "binary").tolist() == [3, 1 << 63, 9]
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_ipcsv_pairs(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -221,6 +237,31 @@ class TestRunExperiment:
     def test_alpha_echoed_for_synthetic(self):
         results = run_experiment(small_config(alpha=0.9))
         assert all(r.alpha == 0.9 for r in results)
+
+    def test_stage_functions_resolved_at_call_time(self, tmp_path, monkeypatch):
+        # The benchmark captures inputs and times stages by rebinding
+        # these names on the harness module, so the harness must look
+        # them up there on every call.
+        calls = []
+
+        def spy(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        for name in ("zipf_stream", "random_split", "read_stream"):
+            spy(name)
+        run_experiment(small_config(seeds=(0,)))
+        assert calls == ["zipf_stream", "random_split"]
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        pa.write_bytes(np.arange(10, dtype="<u8").tobytes())
+        pb.write_bytes(np.arange(5, 15, dtype="<u8").tobytes())
+        run_experiment(small_config(stream_a=str(pa), stream_b=str(pb), seeds=(0,)))
+        assert calls[2:] == ["read_stream", "read_stream"]
 
 
 class TestSummarize:
