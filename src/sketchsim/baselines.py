@@ -15,12 +15,22 @@ sorts twice without a stable sort.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
+
+The baselines share the counter sketches' base, ``sketches._Sketch``:
+seed and hash family, ``total_inserted``, single-item ``insert``,
+``is_empty``, and the checks before a comparison, which raise
+``IncompatibleSketchError`` across types, sizes or seeds and
+``UndefinedSimilarityError`` for two empty sketches (MinHash raises
+``EmptySketchError`` if either side is empty). ``from_budget`` ignores
+``rows`` and gives MinHash and MaxLogHash ``k = max(1, memory_bytes //
+8)`` registers, DotHash as many coordinates, and HLL ``m_bits``, the
+largest m with 2**m <= memory_bytes, clamped to [4, 26].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator
 
 import numpy as np
 
@@ -28,14 +38,13 @@ from sketchsim.core import (
     Algo,
     DegenerateEstimateError,
     EmptySketchError,
-    IncompatibleSketchError,
     ItemId,
     JaccardEstimate,
     SketchParams,
-    UndefinedSimilarityError,
     clamped_estimate,
 )
 from sketchsim.hashing import MASK64, HashFamily, HashKind, mix64, mix64_array
+from sketchsim.sketches import _Sketch
 
 # Bias constant for rank-based cardinality estimators; good for any
 # register count or union size >= 2.
@@ -171,7 +180,19 @@ def expand_cm(
 # -- MinHash -----------------------------------------------------------
 
 
-class MinHashSketch:
+class _SetSketch(_Sketch):
+    """A set baseline, sized by its first constructor argument."""
+
+    @classmethod
+    def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
+        return cls(cls._budget_size(memory_bytes), master_seed=master_seed)
+
+    @staticmethod
+    def _budget_size(memory_bytes: int) -> int:
+        return max(1, memory_bytes // 8)
+
+
+class MinHashSketch(_SetSketch):
     """k independent minimum unit-hash values; match fraction estimates J."""
 
     ALGO = Algo.MINHASH
@@ -180,14 +201,9 @@ class MinHashSketch:
     def __init__(self, k: int = DEFAULT_K, master_seed: int = 0) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        super().__init__(dict(k=k, master_seed=master_seed), master_seed, k)
         self.k = k
-        self.master_seed = master_seed
-        self.hash = HashFamily(master_seed, k)
         self.mins = np.full(k, np.inf, dtype=np.float64)
-        self.n_inserted = 0
-
-    def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
@@ -200,16 +216,7 @@ class MinHashSketch:
             lows[row] = min(lows[row], h.min())
         lows >>= np.uint64(12)
         np.minimum(self.mins, (lows.astype(np.float64) + 0.5) * 2.0**-52, out=self.mins)
-        self.n_inserted += items.size
-
-    def is_empty(self) -> bool:
-        return self.n_inserted == 0
-
-    def _check_compatible(self, other: "MinHashSketch") -> None:
-        if self.k != other.k or self.master_seed != other.master_seed:
-            raise IncompatibleSketchError(
-                "minhash signatures differ in k or seed"
-            )
+        self.total_inserted += items.size
 
     def estimate_jaccard(self, other: "MinHashSketch") -> JaccardEstimate:
         """Fraction of rows whose minima coincide; unbiased for set J."""
@@ -243,7 +250,7 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
     return length + shift.astype(np.int64)
 
 
-class HllSketch:
+class HllSketch(_SetSketch):
     """2^M max-rank registers over an N-bit hash."""
 
     ALGO = Algo.HLL
@@ -257,19 +264,19 @@ class HllSketch:
             raise ValueError(f"need 1 <= m_bits < n_bits, got ({m_bits}, {n_bits})")
         if n_bits > 64:
             raise ValueError(f"n_bits must be <= 64, got {n_bits}")
+        super().__init__(dict(m_bits=m_bits, n_bits=n_bits, master_seed=master_seed), master_seed, 1)
         self.m_bits = m_bits
         self.n_bits = n_bits
         self.n_registers = 1 << m_bits
-        self.master_seed = master_seed
-        self.hash = HashFamily(master_seed, 1)
         self.registers = np.zeros(self.n_registers, dtype=np.uint8)
+
+    @staticmethod
+    def _budget_size(memory_bytes: int) -> int:
+        return max(4, min(26, memory_bytes.bit_length() - 1))
 
     @property
     def alpha(self) -> float:
         return ALPHA_INF / (1.0 + ALPHA_INF / self.n_registers)
-
-    def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
@@ -281,23 +288,14 @@ class HllSketch:
         h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
         rho = value_bits - _bit_length(h) + 1
         np.maximum.at(self.registers, buckets, rho.astype(np.uint8))
-
-    def is_empty(self) -> bool:
-        return not self.registers.any()
-
-    def _check_compatible(self, other: "HllSketch") -> None:
-        if (
-            self.m_bits != other.m_bits
-            or self.n_bits != other.n_bits
-            or self.master_seed != other.master_seed
-        ):
-            raise IncompatibleSketchError("hll registers differ in shape or seed")
+        self.total_inserted += items.size
 
     def union(self, other: "HllSketch") -> "HllSketch":
         """Register-wise maximum: exactly the sketch of the union stream."""
         self._check_compatible(other)
         merged = HllSketch(self.m_bits, self.n_bits, self.master_seed)
         merged.registers = np.maximum(self.registers, other.registers)
+        merged.total_inserted = self.total_inserted + other.total_inserted
         return merged
 
     def cardinality(self) -> CardinalityEstimate:
@@ -313,9 +311,7 @@ class HllSketch:
 
     def estimate_jaccard(self, other: "HllSketch") -> JaccardEstimate:
         """Inclusion-exclusion over cardinality estimates of a, b, a|b."""
-        self._check_compatible(other)
-        if self.is_empty() and other.is_empty():
-            raise UndefinedSimilarityError("both register arrays are empty")
+        self._check_estimable(other)
         card_a = self.cardinality().value
         card_b = other.cardinality().value
         card_union = self.union(other).cardinality().value
@@ -326,7 +322,7 @@ class HllSketch:
 # -- MaxLogHash --------------------------------------------------------
 
 
-class MaxLogHashSketch:
+class MaxLogHashSketch(_SetSketch):
     """k max-floor-log registers with uniqueness flags."""
 
     ALGO = Algo.MAXLOGHASH
@@ -335,15 +331,10 @@ class MaxLogHashSketch:
     def __init__(self, k: int = DEFAULT_K, master_seed: int = 0) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        super().__init__(dict(k=k, master_seed=master_seed), master_seed, k)
         self.k = k
-        self.master_seed = master_seed
-        self.hash = HashFamily(master_seed, k)
         self.maxlogs = np.full(k, -1, dtype=np.int64)
         self.unique_flags = np.ones(k, dtype=bool)
-        self.n_inserted = 0
-
-    def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
@@ -366,14 +357,7 @@ class MaxLogHashSketch:
                 self.unique_flags[row] = int(np.count_nonzero(h < np.uint64(1 << length))) == 1
             elif top == a:
                 self.unique_flags[row] = False
-        self.n_inserted += items.size
-
-    def is_empty(self) -> bool:
-        return self.n_inserted == 0
-
-    def _check_compatible(self, other: "MaxLogHashSketch") -> None:
-        if self.k != other.k or self.master_seed != other.master_seed:
-            raise IncompatibleSketchError("maxloghash states differ in k or seed")
+        self.total_inserted += items.size
 
     def estimate_jaccard(
         self, other: "MaxLogHashSketch", union_card_hint: int = 2
@@ -381,7 +365,7 @@ class MaxLogHashSketch:
         """1 minus the scaled count of rows whose unique maximum sits on
         one side only; those rows witness items outside the intersection.
         """
-        self._check_compatible(other)
+        self._check_estimable(other)
         if union_card_hint < 2:
             raise ValueError(
                 f"the bias constant needs union cardinality >= 2, got {union_card_hint}"
@@ -400,7 +384,7 @@ class MaxLogHashSketch:
 # -- DotHash -----------------------------------------------------------
 
 
-class DotHashSketch:
+class DotHashSketch(_SetSketch):
     """Sum of deterministic random-sign unit vectors; the inner product of
     two accumulators estimates the intersection size.
 
@@ -415,11 +399,9 @@ class DotHashSketch:
     def __init__(self, d: int = DEFAULT_D, master_seed: int = 0) -> None:
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
+        super().__init__(dict(d=d, master_seed=master_seed), master_seed, d)
         self.d = d
-        self.master_seed = master_seed
-        self.hash = HashFamily(master_seed, d)
         self.vec = np.zeros(d, dtype=np.float64)
-        self.n_inserted = 0
         self._scale = 1.0 / np.sqrt(d)
         # One sign seed per coordinate, lifted out of the insert loop.
         self._sign_seeds = np.array(
@@ -427,24 +409,12 @@ class DotHashSketch:
             dtype=np.uint64,
         )
 
-    def _signs(self, item: ItemId) -> np.ndarray:
-        mixed = mix64_array(np.uint64(mix64(item)) ^ self._sign_seeds)
-        return np.where(mixed >> np.uint64(63), 1.0, -1.0)
-
-    def insert(self, item: ItemId) -> None:
-        self.vec += self._signs(item) * self._scale
-        self.n_inserted += 1
-
     def insert_many(self, items) -> None:
-        for item in np.ascontiguousarray(items, dtype=np.uint64):
-            self.insert(int(item))
-
-    def is_empty(self) -> bool:
-        return self.n_inserted == 0
-
-    def _check_compatible(self, other: "DotHashSketch") -> None:
-        if self.d != other.d or self.master_seed != other.master_seed:
-            raise IncompatibleSketchError("dothash accumulators differ in d or seed")
+        items = np.ascontiguousarray(items, dtype=np.uint64)
+        for item in items:
+            mixed = mix64_array(np.uint64(mix64(int(item))) ^ self._sign_seeds)
+            self.vec += np.where(mixed >> np.uint64(63), 1.0, -1.0) * self._scale
+        self.total_inserted += items.size
 
     def estimate_intersection(self, other: "DotHashSketch") -> float:
         self._check_compatible(other)
@@ -461,9 +431,9 @@ class DotHashSketch:
         Cardinalities default to the insert counts, which equal the set
         sizes when each element was inserted exactly once.
         """
-        self._check_compatible(other)
-        card_a = self.n_inserted if card_a is None else card_a
-        card_b = other.n_inserted if card_b is None else card_b
+        self._check_estimable(other)
+        card_a = self.total_inserted if card_a is None else card_a
+        card_b = other.total_inserted if card_b is None else card_b
         inter = self.estimate_intersection(other)
         denom = card_a + card_b - inter
         if denom <= 0:

@@ -2,7 +2,9 @@
 
 Subcommands: gen-zipf writes synthetic stream files, estimate runs one
 sweep cell, sweep runs a config file, selftest exercises the exact
-invariants without any test framework.
+invariants without any test framework. A sketch error, a bad value or
+a file that cannot be read ends the command with one
+``sketchsim: <message>`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from sketchsim.core import Algo, SketchParams, derive_width
+from sketchsim.core import Algo, SketchError, SketchParams, derive_width
 from sketchsim.baselines import HllSketch, MinHashSketch, expand_exact_ids
 from sketchsim.datagen import ZipfSpec, random_split, split_seed, zipf_stream
 from sketchsim.harness import (
+    ADAPTERS,
     CSV_HEADER,
+    STREAM_FORMATS,
     ExperimentConfig,
     parse_config,
     run_experiment,
@@ -44,16 +48,14 @@ def _cmd_gen_zipf(args: argparse.Namespace) -> int:
     stream = zipf_stream(spec)
     if args.split_p is not None:
         if not (args.out_a and args.out_b):
-            print("gen-zipf: --split-p requires --out-a and --out-b", file=sys.stderr)
-            return 2
+            raise ValueError("gen-zipf: --split-p requires --out-a and --out-b")
         left, right = random_split(stream, args.split_p, split_seed(args.seed))
         _write_binary(args.out_a, left)
         _write_binary(args.out_b, right)
         print(f"wrote {len(left)} items to {args.out_a}, {len(right)} to {args.out_b}")
     else:
         if not args.out:
-            print("gen-zipf: --out required without --split-p", file=sys.stderr)
-            return 2
+            raise ValueError("gen-zipf: --out required without --split-p")
         _write_binary(args.out, stream)
         print(f"wrote {len(stream)} items to {args.out}")
     return 0
@@ -296,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--memory-bytes", type=int, default=10240)
     est.add_argument("--rows", type=int, default=1)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--adapter", choices=["exact", "cm"], default="exact")
+    est.add_argument("--adapter", choices=ADAPTERS, default="exact")
     est.add_argument("--stream-a", help="first stream file")
     est.add_argument("--stream-b", help="second stream file")
-    est.add_argument("--format", choices=["text", "binary", "ipcsv"], default="binary")
+    est.add_argument("--format", choices=STREAM_FORMATS, default="binary")
     est.add_argument("--n-items", type=int, default=100_000)
     est.add_argument("--n-distinct", type=int, default=20_000)
     est.add_argument("--alpha", type=float, default=0.6)
@@ -319,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SketchError, ValueError, OSError) as exc:
+        print(f"sketchsim: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import os
 import stat
 import time
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, List, Sequence, Tuple
+from typing import IO, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,12 +54,24 @@ CSV_HEADER = (
 STREAM_FORMATS = ("text", "binary", "ipcsv")
 ADAPTERS = ("exact", "cm")
 
-_GRID_CLASSES = {
+_SKETCH_CLASSES = {
     Algo.CM: CmSimilaritySketch,
     Algo.COUNT: CountSimilaritySketch,
     Algo.WEIGHTED: WeightedSimilaritySketch,
+    Algo.SALSA: SalsaSimilaritySketch,
+    Algo.MINHASH: MinHashSketch,
+    Algo.HLL: HllSketch,
+    Algo.MAXLOGHASH: MaxLogHashSketch,
+    Algo.DOTHASH: DotHashSketch,
 }
-_SET_ALGOS = (Algo.MINHASH, Algo.HLL, Algo.MAXLOGHASH, Algo.DOTHASH)
+# The set baselines, each with the config field that, when nonzero,
+# overrides the size its class derives from the budget.
+_SET_SIZE_FIELDS = {
+    Algo.MINHASH: "minhash_k",
+    Algo.HLL: "hll_m_bits",
+    Algo.MAXLOGHASH: "maxloghash_k",
+    Algo.DOTHASH: "dothash_d",
+}
 
 
 # -- Ingestion ----------------------------------------------------------
@@ -245,23 +257,11 @@ class RunResult:
 
 
 def _build_sketch(algo: Algo, memory_bytes: int, rows: int, seed: int, cfg: ExperimentConfig):
-    if algo in _GRID_CLASSES:
-        return _GRID_CLASSES[algo].from_budget(memory_bytes, rows, seed)
-    if algo is Algo.SALSA:
-        return SalsaSimilaritySketch.from_budget(memory_bytes, rows, seed)
-    if algo is Algo.MINHASH:
-        k = cfg.minhash_k or max(1, memory_bytes // 8)
-        return MinHashSketch(k=k, master_seed=seed)
-    if algo is Algo.MAXLOGHASH:
-        k = cfg.maxloghash_k or max(1, memory_bytes // 8)
-        return MaxLogHashSketch(k=k, master_seed=seed)
-    if algo is Algo.DOTHASH:
-        d = cfg.dothash_d or max(1, memory_bytes // 8)
-        return DotHashSketch(d=d, master_seed=seed)
-    if algo is Algo.HLL:
-        m_bits = cfg.hll_m_bits or max(4, min(26, memory_bytes.bit_length() - 1))
-        return HllSketch(m_bits=m_bits, master_seed=seed)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    cls = _SKETCH_CLASSES[algo]
+    size = getattr(cfg, _SET_SIZE_FIELDS[algo]) if algo in _SET_SIZE_FIELDS else 0
+    if size:
+        return cls(size, master_seed=seed)
+    return cls.from_budget(memory_bytes, rows, seed)
 
 
 def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
@@ -290,7 +290,7 @@ def _run_cell(
     set_pair: Tuple[np.ndarray, np.ndarray] | None,
     j_true: float,
 ) -> RunResult:
-    if algo in _SET_ALGOS:
+    if algo in _SET_SIZE_FIELDS:
         assert set_pair is not None
         in_a, in_b = set_pair
         adapter = cfg.adapter
@@ -349,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
     if csv_fh:
         csv_fh.write(CSV_HEADER + "\n")
         csv_fh.flush()
-    needs_sets = any(a in _SET_ALGOS for a in cfg.algos)
+    needs_sets = any(a in _SET_SIZE_FIELDS for a in cfg.algos)
     file_pair = _dataset_for_seed(cfg, cfg.seeds[0]) if cfg.from_files else None
     file_truth = None
     if file_pair is not None:
@@ -459,18 +459,21 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, _, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key == "algos":
-                values[key] = tuple(Algo(tok.strip()) for tok in raw.split(","))
-            elif key in _INT_LIST_KEYS:
-                values[key] = tuple(int(tok) for tok in raw.split(","))
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key in _STR_KEYS:
-                values[key] = raw
-            else:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            try:
+                if key == "algos":
+                    values[key] = tuple(Algo(tok.strip()) for tok in raw.split(","))
+                elif key in _INT_LIST_KEYS:
+                    values[key] = tuple(int(tok) for tok in raw.split(","))
+                elif key in _INT_KEYS:
+                    values[key] = int(raw)
+                elif key in _FLOAT_KEYS:
+                    values[key] = float(raw)
+                elif key in _STR_KEYS:
+                    values[key] = raw
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     missing = {"algos", "memory_bytes", "rows", "seeds"} - set(values)
     if missing:
         raise ValueError(f"{path}: missing required keys: {sorted(missing)}")

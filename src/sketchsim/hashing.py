@@ -114,14 +114,15 @@ class HashFamily:
             raise ValueError(f"rows must be >= 1, got {rows}")
         self.master_seed = master_seed & MASK64
         self.rows = rows
-        # Tag values 1 + 4*row + kind are pairwise distinct; multiplying by
-        # an odd constant keeps them distinct mod 2**64, and mix64 is a
-        # bijection, so the derived seeds are pairwise distinct too.
-        self._seeds = np.empty((rows, len(HashKind)), dtype=np.uint64)
-        for row in range(rows):
-            for kind in HashKind:
-                tag = (self.master_seed + (1 + 4 * row + kind) * _GOLDEN) & MASK64
-                self._seeds[row, kind] = mix64(tag)
+        # The seed of (row, kind) is mix64(master + (1 + 4*row + kind) *
+        # GOLDEN mod 2**64); uint64 arithmetic wraps as the mod does. The
+        # tags 1 + 4*row + kind, row-major below, are pairwise distinct;
+        # multiplying by an odd constant keeps them distinct mod 2**64,
+        # and mix64 is a bijection, so the seeds are pairwise distinct too.
+        tags = np.arange(1, 1 + rows * len(HashKind), dtype=np.uint64).reshape(rows, len(HashKind))
+        tags *= np.uint64(_GOLDEN)
+        tags += np.uint64(self.master_seed)
+        self._seeds = mix64_array(tags)
 
     def row_seed(self, kind: HashKind, row: int) -> int:
         self._check_row(row)

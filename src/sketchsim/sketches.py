@@ -70,23 +70,20 @@ def weighted_row_similarity(
     return float((max_cm * sign_gated_ratios(c_a, c_b)).sum()) / denom
 
 
-class _CounterSketch:
-    """Params, hashing, entry points and compatibility of every counter
-    sketch. Subclasses supply ``insert_many`` and ``_budget_width``."""
+class _Sketch:
+    """What all eight sketches share: the master seed and its hash family,
+    the count of inserted arrivals, a single-item insert over
+    ``insert_many``, and the checks two sketches pass before they are
+    compared: the same type, then an equal ``geometry`` (the sizes and
+    seed fixed at construction). Subclasses supply ``insert_many``."""
 
     ALGO: Algo
 
-    def __init__(self, params: SketchParams) -> None:
-        self.params = params
-        self.hash = HashFamily(params.master_seed, params.rows)
+    def __init__(self, geometry, master_seed: int, hash_rows: int) -> None:
+        self._geometry = geometry
+        self.master_seed = master_seed
+        self.hash = HashFamily(master_seed, hash_rows)
         self.total_inserted = 0
-
-    @classmethod
-    def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
-        width = cls._budget_width(memory_bytes, rows)
-        return cls(
-            SketchParams(rows=rows, width=width, master_seed=master_seed, memory_bytes=memory_bytes)
-        )
 
     def insert(self, item: ItemId) -> None:
         self.insert_many(np.array([item], dtype=np.uint64))
@@ -94,20 +91,36 @@ class _CounterSketch:
     def is_empty(self) -> bool:
         return self.total_inserted == 0
 
-    def _check_compatible(self, other: "_CounterSketch") -> None:
+    def _check_compatible(self, other: "_Sketch") -> None:
         if type(self) is not type(other):
             raise IncompatibleSketchError(
                 f"cannot compare {type(self).__name__} with {type(other).__name__}"
             )
-        if self.params != other.params:
+        if self._geometry != other._geometry:
             raise IncompatibleSketchError(
-                f"sketch geometry differs: {self.params} vs {other.params}"
+                f"sketch geometry differs: {self._geometry} vs {other._geometry}"
             )
 
-    def _check_estimable(self, other: "_CounterSketch") -> None:
+    def _check_estimable(self, other: "_Sketch") -> None:
         self._check_compatible(other)
         if self.is_empty() and other.is_empty():
             raise UndefinedSimilarityError("both sketches are empty")
+
+
+class _CounterSketch(_Sketch):
+    """Params and budget sizing of every counter sketch; the params are
+    its geometry. Subclasses supply ``insert_many`` and ``_budget_width``."""
+
+    def __init__(self, params: SketchParams) -> None:
+        super().__init__(params, params.master_seed, params.rows)
+        self.params = params
+
+    @classmethod
+    def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
+        width = cls._budget_width(memory_bytes, rows)
+        return cls(
+            SketchParams(rows=rows, width=width, master_seed=master_seed, memory_bytes=memory_bytes)
+        )
 
 
 def _check_range(values: np.ndarray, signed: bool, what: str) -> None:

@@ -459,3 +459,16 @@ class TestDotHash:
             )
         with pytest.raises(IncompatibleSketchError):
             DotHashSketch(d=8).estimate_jaccard(DotHashSketch(d=16))
+
+
+class TestFromBudget:
+    @pytest.mark.parametrize("budget", [1, 7, 8, 1024, 10240])
+    def test_sizes_follow_the_budget_rule(self, budget):
+        # One 8-byte register per hash row; HLL takes the largest power
+        # of two of registers the budget names, within [2**4, 2**26].
+        registers = max(1, budget // 8)
+        m_bits = max(4, min(26, budget.bit_length() - 1))
+        sketches = [cls.from_budget(budget, 1, 5) for cls in (MinHashSketch, MaxLogHashSketch, DotHashSketch, HllSketch)]
+        minhash, maxloghash, dothash, hll = sketches
+        assert (minhash.k, maxloghash.k, dothash.d, hll.m_bits) == (registers, registers, registers, m_bits)
+        assert all(s.master_seed == 5 for s in sketches)

@@ -150,3 +150,40 @@ class TestSelftest:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 10
+
+
+class TestErrors:
+    """Expected failures print one ``sketchsim: <message>`` line and exit 2."""
+
+    def run_failing(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("sketchsim: ") and err.count("\n") == 1
+        return err
+
+    def test_unparsable_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("algos = cm\nmemory_bytes = 1024\nrows = x\nseeds = 0\n")
+        err = self.run_failing(["sweep", "--config", str(cfg)], capsys)
+        assert f"{cfg}: line 3: " in err
+
+    def test_malformed_ipcsv_file(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+        good.write_text("10.0.0.1,10.0.0.2\n")
+        bad.write_text("10.0.0.1,10.0.0.2\n10.0.0.1\n")
+        argv = ["estimate", "--algo", "cm", "--format", "ipcsv"]
+        argv += ["--stream-a", str(good), "--stream-b", str(bad)]
+        err = self.run_failing(argv, capsys)
+        assert f"{bad}: line 2: expected 'src,dst'" in err
+
+    def test_budget_too_small(self, capsys):
+        argv = ["estimate", "--algo", "cm", "--memory-bytes", "2", "--n-items", "100", "--n-distinct", "10"]
+        err = self.run_failing(argv, capsys)
+        assert "2 bytes cannot fit" in err
+
+    def test_missing_stream_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.bin"
+        argv = ["estimate", "--algo", "cm", "--stream-a", str(missing), "--stream-b", str(missing)]
+        err = self.run_failing(argv, capsys)
+        assert str(missing) in err

@@ -264,6 +264,22 @@ class TestRunExperiment:
         assert calls[2:] == ["read_stream", "read_stream"]
 
 
+class TestBuildSketch:
+    @pytest.mark.parametrize(
+        "overrides,sizes",
+        [
+            ({}, (128, 128, 128, 10)),
+            (dict(minhash_k=16, maxloghash_k=24, dothash_d=32, hll_m_bits=6), (16, 24, 32, 6)),
+        ],
+    )
+    def test_set_sizes_from_budget_or_override(self, overrides, sizes):
+        cfg = small_config(**overrides)
+        size_attrs = ((Algo.MINHASH, "k"), (Algo.MAXLOGHASH, "k"), (Algo.DOTHASH, "d"), (Algo.HLL, "m_bits"))
+        for (algo, attr), size in zip(size_attrs, sizes):
+            sketch = harness._build_sketch(algo, 1024, 1, 3, cfg)
+            assert (getattr(sketch, attr), sketch.master_seed) == (size, 3)
+
+
 class TestSummarize:
     def test_groups_over_seeds(self):
         cfg = small_config(algos=(Algo.CM, Algo.COUNT), seeds=(0, 1, 2))
@@ -314,4 +330,11 @@ class TestParseConfig:
         path = tmp_path / "noeq.cfg"
         path.write_text("algos cm\n")
         with pytest.raises(ValueError, match="line 1"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("line", ["rows = x", "alpha = high", "algos = cm, nope"])
+    def test_unparsable_value_names_its_line(self, tmp_path, line):
+        path = tmp_path / "value.cfg"
+        path.write_text(f"memory_bytes = 1024\nseeds = 0\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
             parse_config(str(path))

@@ -75,6 +75,16 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             HashFamily(master_seed=0, rows=0)
 
+    @pytest.mark.parametrize("master", [0, 42, (1 << 64) - 3, -1])
+    @pytest.mark.parametrize("rows", [1, 5, 2560])
+    def test_seed_table_matches_the_scalar_formula(self, master, rows):
+        golden = 0x9E3779B97F4A7C15
+        fam = HashFamily(master_seed=master, rows=rows)
+        for row in sorted({0, 1, rows // 2, rows - 1} & set(range(rows))):
+            for kind in HashKind:
+                tag = (master + (1 + 4 * row + kind) * golden) & MASK64
+                assert fam.row_seed(kind, row) == mix64(tag)
+
 
 class TestIndexHash:
     def test_deterministic(self):

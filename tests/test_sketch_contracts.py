@@ -1,16 +1,20 @@
 """Contracts shared by the sketches.
 
 Weighted's two fields are CM's and Count's fields under one hash family,
-and no sketch's state, whether a counter grid or a set baseline, depends
-on how a stream is cut into batches.
+no sketch's state, whether a counter grid or a set baseline, depends
+on how a stream is cut into batches, sketches of different types refuse
+to compare, and two empty sketches have no similarity.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsim.baselines import HllSketch, MaxLogHashSketch, MinHashSketch
-from sketchsim.core import SketchParams
+from sketchsim.baselines import DotHashSketch, HllSketch, MaxLogHashSketch, MinHashSketch
+from sketchsim.core import IncompatibleSketchError, SketchParams, UndefinedSimilarityError
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
     CmSimilaritySketch,
@@ -43,9 +47,9 @@ SET_SKETCHES = (
 
 def set_state(s):
     if isinstance(s, MinHashSketch):
-        return s.mins.tolist(), s.n_inserted
+        return s.mins.tolist(), s.total_inserted
     if isinstance(s, MaxLogHashSketch):
-        return s.maxlogs.tolist(), s.unique_flags.tolist(), s.n_inserted
+        return s.maxlogs.tolist(), s.unique_flags.tolist(), s.total_inserted
     return s.registers.tolist()
 
 
@@ -115,3 +119,35 @@ class TestBatchSplitInvariance:
             for chunk in chunks:
                 parts.insert_many(chunk)
             assert set_state(parts) == set_state(whole)
+
+
+# One small sketch of each of the eight types, all under the same seed.
+ALL_SKETCHES = {
+    "cm": lambda: CmSimilaritySketch(params(1, 16, 1)),
+    "count": lambda: CountSimilaritySketch(params(1, 16, 1)),
+    "weighted": lambda: WeightedSimilaritySketch(params(1, 16, 1)),
+    "salsa": lambda: SalsaSimilaritySketch(params(1, 16, 1)),
+    "minhash": lambda: MinHashSketch(k=8, master_seed=1),
+    "hll": lambda: HllSketch(m_bits=4, master_seed=1),
+    "maxloghash": lambda: MaxLogHashSketch(k=8, master_seed=1),
+    "dothash": lambda: DotHashSketch(d=8, master_seed=1),
+}
+
+
+class TestDifferentTypesRefuse:
+    @pytest.mark.parametrize("first,second", list(itertools.permutations(ALL_SKETCHES, 2)))
+    def test_every_ordered_pair_raises(self, first, second):
+        a, b = ALL_SKETCHES[first](), ALL_SKETCHES[second]()
+        items = np.arange(1, 40, dtype=np.uint64)
+        a.insert_many(items)
+        b.insert_many(items)
+        with pytest.raises(IncompatibleSketchError, match="cannot compare"):
+            a.estimate_jaccard(b)
+
+
+class TestEmptyPairs:
+    @pytest.mark.parametrize("name", ["maxloghash", "dothash"])
+    def test_two_empty_sketches_are_undefined(self, name):
+        a, b = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
+        with pytest.raises(UndefinedSimilarityError):
+            a.estimate_jaccard(b)
