@@ -359,17 +359,11 @@ class MaxLogHashSketch(_SetSketch):
                 self.unique_flags[row] = False
         self.total_inserted += items.size
 
-    def estimate_jaccard(
-        self, other: "MaxLogHashSketch", union_card_hint: int = 2
-    ) -> JaccardEstimate:
+    def estimate_jaccard(self, other: "MaxLogHashSketch") -> JaccardEstimate:
         """1 minus the scaled count of rows whose unique maximum sits on
         one side only; those rows witness items outside the intersection.
         """
         self._check_estimable(other)
-        if union_card_hint < 2:
-            raise ValueError(
-                f"the bias constant needs union cardinality >= 2, got {union_card_hint}"
-            )
         differs = self.maxlogs != other.maxlogs
         self_wins = self.maxlogs > other.maxlogs
         other_wins = other.maxlogs > self.maxlogs
@@ -403,17 +397,15 @@ class DotHashSketch(_SetSketch):
         self.d = d
         self.vec = np.zeros(d, dtype=np.float64)
         self._scale = 1.0 / np.sqrt(d)
-        # One sign seed per coordinate, lifted out of the insert loop.
-        self._sign_seeds = np.array(
-            [self.hash.row_seed(HashKind.SIGN, row) for row in range(d)],
-            dtype=np.uint64,
-        )
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
-        for item in items:
-            mixed = mix64_array(np.uint64(mix64(int(item))) ^ self._sign_seeds)
-            self.vec += np.where(mixed >> np.uint64(63), 1.0, -1.0) * self._scale
+        for row, (h,) in self.hash.chunk_hashes(items, (HashKind.SIGN,)):
+            # A cumulative sum adds the terms one at a time in arrival
+            # order, as a per-item loop would, so the floats are the same.
+            terms = np.where(h >> np.uint64(63), self._scale, -self._scale)
+            terms[0] += self.vec[row]
+            self.vec[row] = np.cumsum(terms)[-1]
         self.total_inserted += items.size
 
     def estimate_intersection(self, other: "DotHashSketch") -> float:

@@ -23,7 +23,7 @@ from sketchsim.baselines import (
     HllSketch,
     MaxLogHashSketch,
     MinHashSketch,
-    expand_cm,  # unused here; perfbench/spans.py patches harness.expand_cm by name
+    expand_cm,  # noqa: F401 (perfbench/spans.py patches harness.expand_cm by name)
     expand_cm_ids,
     expand_exact_ids,
 )
@@ -273,12 +273,6 @@ def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return expand_cm_ids(stream, params)
 
 
-def _estimate(algo: Algo, a, b, set_union_hint: int):
-    if algo is Algo.MAXLOGHASH:
-        return a.estimate_jaccard(b, union_card_hint=max(2, set_union_hint))
-    return a.estimate_jaccard(b)
-
-
 def _run_cell(
     algo: Algo,
     memory_bytes: int,
@@ -303,7 +297,7 @@ def _run_cell(
     sketch_a.insert_many(in_a)
     sketch_b.insert_many(in_b)
     t1 = time.perf_counter()
-    est = _estimate(algo, sketch_a, sketch_b, len(in_a) + len(in_b))
+    est = sketch_a.estimate_jaccard(sketch_b)
     t2 = time.perf_counter()
     return RunResult(
         algo=algo.value,

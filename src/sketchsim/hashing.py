@@ -15,8 +15,8 @@ Every vector hash comes from one chunked pass,
 :data:`HASH_CHUNK` items, premixes each chunk once, and then mixes the
 premix with each (row, kind) seed in place, in buffers reused for the
 whole pass, so no array as long as the batch is allocated. The grid
-sketches, MinHash and MaxLogHash consume the pass chunk by chunk; the
-``*_many`` methods copy its output into one array.
+sketches, SALSA, MinHash, MaxLogHash and DotHash consume the pass chunk
+by chunk; the ``*_many`` methods copy its output into one array.
 """
 
 from __future__ import annotations

@@ -10,24 +10,24 @@ counters fill, so heavy regions trade resolution for range while the
 memory footprint never changes.
 
 Hashing always targets the initial 1-byte slot positions; layout changes
-only alter which logical counter a position resolves to. Two sketches
-that merged differently are aligned (coarsest common refinement of both
-layouts) before the weighted two-field estimate runs over their common
-logical slots.
+only alter which logical counter a position resolves to. Extents obey the
+buddy discipline (power-of-two byte lengths, start aligned to length,
+tiling the row), so the extents of any two layouts nest. Two sketches
+that merged differently are therefore compared in the layout given by
+the positionwise maximum of their level maps, where each row's counters
+are sums over its own extent starts.
 
 The sketch shares its params, hashing, entry points and compatibility
 checks with the grid sketches of :mod:`sketchsim.sketches`, and scores
 each aligned row with the grid's :func:`weighted_row_similarity`. Only
 the row storage and its growth are its own.
 
-Logical counter extents obey the buddy discipline: power-of-two byte
-lengths, start aligned to length, tiling the row exactly. This is what
-makes alignment decidable and terminating.
-
-A batch insert walks each row's hashed positions in chunks of
-``INSERT_CHUNK`` arrivals. Within a chunk every position resolves to its
-current extent, and per-extent running sums give the value each counter
-would hold after each arrival. Everything before the first arrival that
+A batch insert hashes through the grids' chunked pass,
+:meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
+positions and signs. The row walks them in chunks of ``INSERT_CHUNK``
+arrivals. Within a chunk every position resolves to its current extent,
+and per-extent running sums give the value each counter would hold
+after each arrival. Everything before the first arrival that
 would leave its counter's range is applied at once; that arrival alone
 goes through the scalar :meth:`SalsaRow.add`, which grows the counter,
 and the walk resumes after it under the new layout. A row merges at most
@@ -49,6 +49,7 @@ from sketchsim.core import (
     SketchParams,
     clamped_estimate,
 )
+from sketchsim.hashing import HashKind, bucket_of
 from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 
 # Per initial slot: one cm byte, one c byte, and one merge-indicator bit
@@ -59,7 +60,8 @@ SLOT_BITS = 18
 # Arrivals resolved per vector step of a batch insert.
 INSERT_CHUNK = 1024
 
-# Vector counter caps by level. Caps above level 2 pass int64; they are
+# Counter caps by level: a level-g counter has 2**g bytes per field, and
+# the signed range is symmetric. Caps above level 2 pass int64; they are
 # clamped, which changes no decision, because no counter can exceed the
 # number of arrivals inserted.
 _CM_CAPS = np.array([255, (1 << 16) - 1, (1 << 32) - 1, (1 << 62) - 1], dtype=np.int64)
@@ -99,15 +101,6 @@ class SalsaRow:
         self.cm = np.zeros(width, dtype=np.int64)
         self.c = np.zeros(width, dtype=np.int64)
 
-    @staticmethod
-    def _cm_cap(n_bytes: int) -> int:
-        return (1 << (8 * n_bytes)) - 1
-
-    @staticmethod
-    def _c_cap(n_bytes: int) -> int:
-        # Symmetric signed range; the extra two's-complement value is unused.
-        return (1 << (8 * n_bytes - 1)) - 1
-
     def extent_of(self, pos: int) -> Tuple[int, int]:
         """(start, byte_length) of the logical counter containing pos."""
         g = int(self.level_of[pos])
@@ -115,16 +108,15 @@ class SalsaRow:
 
     def extents(self) -> Iterator[Tuple[int, int]]:
         """All (start, byte_length) extents in ring order."""
-        pos = 0
-        while pos < self.width:
-            g = int(self.level_of[pos])
-            yield pos, 1 << g
-            pos += 1 << g
+        starts = self.starts()
+        return zip(starts.tolist(), (1 << self.level_of[starts].astype(np.int64)).tolist())
 
-    def starts(self) -> np.ndarray:
-        """Start positions of all extents, ascending."""
-        pos = np.arange(self.width)
-        return np.flatnonzero((pos & ((1 << self.level_of.astype(np.int64)) - 1)) == 0)
+    def starts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Start positions of the extents that begin in ``[lo, hi)``
+        (default: the whole row), ascending."""
+        hi = self.width if hi is None else hi
+        pos = np.arange(lo, hi)
+        return pos[(pos & ((1 << self.level_of[lo:hi].astype(np.int64)) - 1)) == 0]
 
     def dump(self) -> List[Tuple[int, int, int, int]]:
         """Debug view: (start, byte_len, cm, c) per logical counter."""
@@ -140,51 +132,39 @@ class SalsaRow:
         row.c = self.c.copy()
         return row
 
-    def _merge_halves(self, start: int, g: int) -> None:
-        # Both halves must already be single extents at level g - 1.
-        right = start + (1 << (g - 1))
-        self.cm[start] += self.cm[right]
-        self.c[start] += self.c[right]
-        self.level_of[start : start + (1 << g)] = g
-
     def coalesce(self, start: int, g: int) -> None:
-        """Make the g-aligned block at ``start`` one logical counter."""
+        """Make the g-aligned block at ``start`` one logical counter.
+
+        Extents nest, so the block's counters are exactly the extents
+        that start inside it; their sums move to ``start``.
+        """
         current = int(self.level_of[start])
-        if current == g:
-            return
         if current > g:
             raise ValueError(
                 f"block at {start} already part of a level-{current} counter"
             )
-        half = 1 << (g - 1)
-        self.coalesce(start, g - 1)
-        self.coalesce(start + half, g - 1)
-        self._merge_halves(start, g)
-
-    def _grow(self, start: int, g: int) -> Tuple[int, int]:
-        """Merge the counter at (start, level g) with its buddy."""
-        if (1 << g) == self.width:
-            raise RowSaturatedError(
-                f"counter spans the whole {self.width}-byte row and cannot grow"
-            )
-        parent = start & ~((1 << (g + 1)) - 1)
-        # Coalescing the parent block merges us with our buddy, first
-        # coalescing a buddy that is still tiled by smaller counters.
-        self.coalesce(parent, g + 1)
-        return parent, g + 1
+        end = start + (1 << g)
+        inner = self.starts(start, end)
+        self.cm[start] = self.cm[inner].sum()
+        self.c[start] = self.c[inner].sum()
+        self.level_of[start:end] = g
 
     def add(self, pos: int, d_cm: int, d_c: int) -> None:
-        """Apply one update at a hashed byte position, growing as needed."""
+        """Apply one update at a hashed byte position; a counter whose
+        value would leave its level's range coalesces its parent block."""
         g = int(self.level_of[pos])
         start = pos & ~((1 << g) - 1)
-        while True:
-            n = 1 << g
-            if (
-                int(self.cm[start]) + d_cm <= self._cm_cap(n)
-                and abs(int(self.c[start]) + d_c) <= self._c_cap(n)
-            ):
-                break
-            start, g = self._grow(start, g)
+        while (
+            int(self.cm[start]) + d_cm > _CM_CAPS[min(g, 3)]
+            or abs(int(self.c[start]) + d_c) > _C_CAPS[min(g, 3)]
+        ):
+            if (1 << g) == self.width:
+                raise RowSaturatedError(
+                    f"counter spans the whole {self.width}-byte row and cannot grow"
+                )
+            g += 1
+            start &= ~((1 << g) - 1)
+            self.coalesce(start, g)
         self.cm[start] += d_cm
         self.c[start] += d_c
 
@@ -226,21 +206,29 @@ class SalsaRow:
                 self.add(int(pos[stop]), 1, int(sign[stop]))
                 lo += stop + 1
 
+    def coarsened(self, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, cm, c) of this row's counters summed into the layout
+        ``level``, a level map no finer than this row's anywhere.
+
+        Extents nest, so each coarser extent holds a run of this row's
+        extents, and its value is the sum over their starts.
+        """
+        own = self.starts()
+        outer_level = level[own].astype(np.int64)
+        outer = (own >> outer_level) << outer_level
+        first = np.flatnonzero(np.diff(outer, prepend=-1))
+        cm, c = (np.add.reduceat(field[own], first) for field in (self.cm, self.c))
+        return outer[first], cm, c
+
     def align(self, other: "SalsaRow") -> None:
-        """Coarsest common refinement of both layouts; mutates both rows."""
-        pos = 0
-        while pos < self.width:
-            ga = int(self.level_of[pos])
-            gb = int(other.level_of[pos])
-            if ga < gb:
-                self.coalesce(pos, gb)
-                g = gb
-            elif gb < ga:
-                other.coalesce(pos, ga)
-                g = ga
-            else:
-                g = ga
-            pos += 1 << g
+        """Give both rows their finest common coarsening, the positionwise
+        maximum of the two level maps; mutates both rows."""
+        level = np.maximum(self.level_of, other.level_of)
+        for row in (self, other):
+            starts, cm, c = row.coarsened(level)
+            row.cm[starts] = cm
+            row.c[starts] = c
+            row.level_of[:] = level
 
     def total_cm(self) -> int:
         return int(self.cm[self.starts()].sum())
@@ -274,11 +262,10 @@ class SalsaSimilaritySketch(_CounterSketch):
         if items.size == 0:
             return
         staged = [row.copy() for row in self.rows]
-        for i, row in enumerate(staged):
-            row.add_many(
-                self.hash.index_hash_many(items, i, self.params.width),
-                self.hash.sign_hash_many(items, i),
-            )
+        for row, (idx, sign) in self.hash.chunk_hashes(items, (HashKind.INDEX, HashKind.SIGN)):
+            sign >>= np.uint64(63)
+            positions = bucket_of(idx, self.params.width).view(np.int64)
+            staged[row].add_many(positions, 2 * sign.view(np.int64) - 1)
         self.rows = staged
         self.total_inserted += items.size
 
@@ -291,16 +278,16 @@ class SalsaSimilaritySketch(_CounterSketch):
     def estimate_jaccard(self, other: "SalsaSimilaritySketch") -> JaccardEstimate:
         """Weighted two-field estimate over aligned logical counters.
 
-        Alignment runs on private copies so neither operand's layout is
-        coarsened by estimation.
+        Each row pair is scored over both rows' counters coarsened to
+        their common layout; neither operand changes.
         """
         self._check_estimable(other)
         acc = 0.0
         for row_a, row_b in zip(self.rows, other.rows):
-            ca, cb = row_a.copy(), row_b.copy()
-            ca.align(cb)
-            starts = ca.starts()
-            acc += weighted_row_similarity(ca.cm[starts], cb.cm[starts], ca.c[starts], cb.c[starts])
+            level = np.maximum(row_a.level_of, row_b.level_of)
+            _, cm_a, c_a = row_a.coarsened(level)
+            _, cm_b, c_b = row_b.coarsened(level)
+            acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
         raw = acc / self.params.rows
         return clamped_estimate(raw, Algo.SALSA)
 

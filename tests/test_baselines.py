@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import find_seed, multiset_of, random_stream_pair
+from conftest import multiset_of, random_stream_pair
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from sketchsim.baselines import (
     expand_exact_ids,
     occurrence_numbers,
 )
-from sketchsim.hashing import HashFamily
+from sketchsim.hashing import HASH_CHUNK, HashFamily
 from sketchsim.oracle import ExactMultiset
 
 
@@ -373,13 +373,6 @@ class TestMaxLogHash:
         b.insert_many(items)
         assert a.estimate_jaccard(b).value == 1.0
 
-    def test_union_hint_gate(self):
-        a, b = MaxLogHashSketch(k=8, master_seed=5), MaxLogHashSketch(k=8, master_seed=5)
-        a.insert(1)
-        b.insert(1)
-        with pytest.raises(ValueError):
-            a.estimate_jaccard(b, union_card_hint=1)
-
     def test_incompatible_rejected(self):
         with pytest.raises(IncompatibleSketchError):
             MaxLogHashSketch(k=8, master_seed=1).estimate_jaccard(
@@ -412,6 +405,25 @@ class TestDotHash:
         for row in range(64):
             expected = s.hash.sign_hash(12345, row) / np.sqrt(64)
             assert s.vec[row] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("d,n", [(64, 40), (5, HASH_CHUNK + 7)])
+    def test_vector_matches_scalar_loop_bitwise(self, d, n):
+        # Reference: each coordinate adds the items' scaled signs one at
+        # a time, in arrival order.
+        items = np.random.default_rng(d).integers(0, 1 << 63, size=n, dtype=np.uint64)
+        ref = DotHashSketch(d=d, master_seed=d)
+        scale = 1.0 / np.sqrt(d)
+        expected = []
+        for row in range(d):
+            value = 0.0
+            for item in items.tolist():
+                value += ref.hash.sign_hash(item, row) * scale
+            expected.append(value)
+        for cuts in ([], [1, n // 2, n - 3]):
+            s = DotHashSketch(d=d, master_seed=d)
+            for part in np.split(items, cuts):
+                s.insert_many(part)
+            assert s.vec.tobytes() == np.array(expected).tobytes()
 
     def test_self_inner_product_near_cardinality(self):
         rng = np.random.default_rng(11)

@@ -12,7 +12,6 @@ from sketchsim.core import Algo
 from sketchsim.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    RunResult,
     StreamFormatError,
     ZeroTruthError,
     compute_mips,

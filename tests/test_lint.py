@@ -1,0 +1,48 @@
+"""Static checks over the package and its tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*ROOT.glob("src/sketchsim/*.py"), *ROOT.glob("tests/*.py")])
+
+
+def unused_imports(path: Path):
+    """(line, name) of each import the module never reads.
+
+    A name counts as read if it is used anywhere as a name or listed in
+    ``__all__``. A line marked ``# noqa: F401`` keeps its import.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [
+        (line, name)
+        for name, line in imported.items()
+        if name not in read and "noqa: F401" not in lines[line - 1]
+    ]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SOURCES
+        for line, name in unused_imports(path)
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from conftest import multiset_of, random_stream_pair
@@ -10,7 +12,7 @@ from sketchsim.core import (
     UndefinedSimilarityError,
 )
 from sketchsim.salsa import INSERT_CHUNK, SalsaRow, SalsaSimilaritySketch, salsa_width
-from sketchsim.sketches import WeightedSimilaritySketch
+from sketchsim.sketches import WeightedSimilaritySketch, weighted_row_similarity
 
 
 def sketch(rows=1, width=8, seed=0):
@@ -107,6 +109,17 @@ class TestRowMerging:
         assert int(row.c[0]) == 1 + 1 - 1 + 1
         check_buddy_tiling(row)
 
+    def test_coalesce_block_of_three_levels(self):
+        row = filled_row(16, [(2, 1), (4, 2), (8, 3)], 3)
+        parts = row.dump()[:4]  # [0], [1], [2, 4), [4, 8)
+        assert [blen for _, blen, _, _ in parts] == [1, 1, 2, 4]
+        row.coalesce(0, 3)
+        assert row.dump()[0] == (0, 8, sum(p[2] for p in parts), sum(p[3] for p in parts))
+        assert row.extent_of(7) == (0, 8)
+        check_buddy_tiling(row)
+        with pytest.raises(ValueError):
+            row.coalesce(4, 2)
+
     def test_saturated_row_errors(self):
         row = SalsaRow(1)
         for i in range(255):
@@ -137,7 +150,56 @@ class TestRowMerging:
         assert int(row.cm[start]) == 3000
 
 
+def filled_row(width, blocks, seed):
+    """A row with a random in-range value at every byte, then each
+    (start, level) of ``blocks`` coalesced in turn."""
+    rng = np.random.default_rng(seed)
+    row = SalsaRow(width)
+    for pos in range(width):
+        row.add(pos, int(rng.integers(0, 100)), int(rng.integers(-60, 60)))
+    for start, g in blocks:
+        row.coalesce(start, g)
+    return row
+
+
+def reference_align(a, b):
+    """Expected dumps of ``a.align(b)``: walk both rows' extents pairwise;
+    at each common start the longer extent absorbs the other row's
+    extents inside it."""
+    out = ([], [])
+    ext = (list(a.dump()), list(b.dump()))
+    at, pos = [0, 0], 0
+    while pos < a.width:
+        blen = max(ext[0][at[0]][1], ext[1][at[1]][1])
+        for side in (0, 1):
+            cm = c = 0
+            while at[side] < len(ext[side]) and ext[side][at[side]][0] < pos + blen:
+                cm, c = cm + ext[side][at[side]][2], c + ext[side][at[side]][3]
+                at[side] += 1
+            out[side].append((pos, blen, cm, c))
+        pos += blen
+    return out
+
+
 class TestAlign:
+    @pytest.mark.parametrize(
+        "blocks_a,blocks_b",
+        [
+            # b is fragmented inside a's 8-byte extent.
+            ([(0, 3)], [(2, 1), (4, 2)]),
+            # a is coarser over [0, 4); b over [4, 6) and over [8, 16),
+            # which holds a's [12, 14).
+            ([(0, 2), (12, 1)], [(8, 3), (4, 1)]),
+            ([(0, 1), (8, 2)], [(0, 1), (8, 2)]),
+        ],
+    )
+    def test_matches_pairwise_extent_walk(self, blocks_a, blocks_b):
+        a, b = filled_row(16, blocks_a, 1), filled_row(16, blocks_b, 2)
+        expected = reference_align(a, b)
+        a.align(b)
+        assert (a.dump(), b.dump()) == expected
+        check_buddy_tiling(a)
+
     def test_unmerged_rows_align_is_noop(self):
         a, b = SalsaRow(8), SalsaRow(8)
         a.add(0, 1, 1)
@@ -272,6 +334,21 @@ class TestSketch:
         a.estimate_jaccard(b)
         assert a.dump() == dump_a
         assert b.dump() == dump_b
+
+    def test_estimate_equals_estimate_over_aligned_copies(self):
+        rng = np.random.default_rng(17)
+        for seed in range(4):
+            a, b = sketch(rows=3, width=16, seed=seed), sketch(rows=3, width=16, seed=seed)
+            a.insert_many((rng.zipf(1.3, size=20_000) % 200).astype(np.uint64))
+            b.insert_many((rng.zipf(1.3, size=3_000) % 200).astype(np.uint64))
+            ca, cb = copy.deepcopy(a), copy.deepcopy(b)
+            ca.align_with(cb)
+            acc = 0.0
+            for row_a, row_b in zip(ca.rows, cb.rows):
+                (_, _, cm_a, c_a), (_, _, cm_b, c_b) = (np.array(r.dump()).T for r in (row_a, row_b))
+                acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
+            assert a.estimate_jaccard(b).raw == acc / 3
+            assert any(ra.level_of.tolist() != rb.level_of.tolist() for ra, rb in zip(a.rows, b.rows))
 
     def test_align_with_mutates_in_place(self):
         rng = np.random.default_rng(12)
