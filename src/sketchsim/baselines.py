@@ -400,12 +400,9 @@ class DotHashSketch(_SetSketch):
 
     def insert_many(self, items) -> None:
         items = np.ascontiguousarray(items, dtype=np.uint64)
-        for row, (h,) in self.hash.chunk_hashes(items, (HashKind.SIGN,)):
-            # A cumulative sum adds the terms one at a time in arrival
-            # order, as a per-item loop would, so the floats are the same.
-            terms = np.where(h >> np.uint64(63), self._scale, -self._scale)
-            terms[0] += self.vec[row]
-            self.vec[row] = np.cumsum(terms)[-1]
+        for item in items.tolist():
+            mixed = self.hash.row_hashes(item, HashKind.SIGN)
+            self.vec += np.where(mixed >> np.uint64(63), 1.0, -1.0) * self._scale
         self.total_inserted += items.size
 
     def estimate_intersection(self, other: "DotHashSketch") -> float:

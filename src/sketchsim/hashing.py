@@ -15,8 +15,10 @@ Every vector hash comes from one chunked pass,
 :data:`HASH_CHUNK` items, premixes each chunk once, and then mixes the
 premix with each (row, kind) seed in place, in buffers reused for the
 whole pass, so no array as long as the batch is allocated. The grid
-sketches, SALSA, MinHash, MaxLogHash and DotHash consume the pass chunk
-by chunk; the ``*_many`` methods copy its output into one array.
+sketches, SALSA, MinHash and MaxLogHash consume the pass chunk by
+chunk; the ``*_many`` methods copy its output into one array. DotHash,
+built for small sets, hashes one item at a time over all its rows with
+:meth:`HashFamily.row_hashes`.
 """
 
 from __future__ import annotations
@@ -137,6 +139,10 @@ class HashFamily:
     def _mixed(self, item: int, kind: HashKind, row: int) -> int:
         self._check_row(row)
         return mix64(mix64(item) ^ int(self._seeds[row, kind]))
+
+    def row_hashes(self, item: int, kind: HashKind) -> np.ndarray:
+        """``item``'s hashes under every row's seed of ``kind``, one per row."""
+        return mix64_array(np.uint64(mix64(item)) ^ self._seeds[:, kind])
 
     def index_hash(self, item: int, row: int, width: int) -> int:
         """Bucket index in ``[0, width)`` for ``item`` under row ``row``."""

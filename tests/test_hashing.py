@@ -85,6 +85,13 @@ class TestSeedDerivation:
                 tag = (master + (1 + 4 * row + kind) * golden) & MASK64
                 assert fam.row_seed(kind, row) == mix64(tag)
 
+    def test_row_hashes_match_the_scalar_hash(self):
+        fam = HashFamily(master_seed=13, rows=37)
+        for item in (0, 1, 12345, MASK64):
+            for kind in HashKind:
+                expected = [fam._mixed(item, kind, row) for row in range(37)]
+                assert fam.row_hashes(item, kind).tolist() == expected
+
 
 class TestIndexHash:
     def test_deterministic(self):
