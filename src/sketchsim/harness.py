@@ -8,6 +8,7 @@ only the timing columns vary between runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -77,20 +78,40 @@ _SET_SIZE_FIELDS = {
 # -- Ingestion ----------------------------------------------------------
 
 
+# Lines per read block of a text or ipcsv stream. Each block is checked
+# and hashed once per distinct line, and it bounds the memory a read holds
+# besides its result.
+READ_BLOCK = 1 << 13
+
+
+def token_digest(token: str) -> bytes:
+    """The 8-byte blake2b digest of a text token; its little-endian value is the id."""
+    return hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+
+
 def token_id(token: str) -> int:
     """Stable 64-bit id for a text token."""
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(token_digest(token), "little")
 
 
 def read_stream(path: str, format: str = "text") -> np.ndarray:
-    """Load a stream file as an array of 64-bit item ids.
+    r"""Load a stream file as an array of 64-bit item ids.
 
     Formats: ``text`` is one UTF-8 token per line, each hashed to an id;
     ``binary`` is consecutive little-endian unsigned 64-bit integers,
     checked against the file size and then read into the result array;
     ``ipcsv`` is one ``src,dst`` pair per line, the two fields hashed
     together to a single id.
+
+    Lines are read with universal newlines, so ``\r\n`` and a lone
+    ``\r`` end a line as ``\n`` does, and they are split on ``"\n"``
+    only. Each line is stripped of surrounding whitespace, and so is each
+    ipcsv field. An empty token, an ipcsv line without exactly two
+    non-empty fields, or bytes that are not UTF-8 raise
+    :class:`StreamFormatError` naming the first such line. The lines are
+    taken in blocks of :data:`READ_BLOCK`, and each distinct line of a
+    block is checked and hashed once, so besides the result a read holds
+    at most one block of lines.
     """
     if format not in STREAM_FORMATS:
         raise ValueError(f"unknown stream format {format!r}")
@@ -112,26 +133,46 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
             items = np.fromfile(fh, dtype="<u8", count=size // 8)
         return items.astype(np.uint64, copy=False)
 
-    ids: List[int] = []
-    # Undecodable bytes become lone surrogates, which token_id cannot
+    ipcsv = format == "ipcsv"
+    blocks = [np.empty(0, np.uint64)]  # so an empty file reads as an empty array
+    n = 0  # lines before the current block
+    # Undecodable bytes become lone surrogates, which token_digest cannot
     # encode; that is where a line is found not to be UTF-8.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                raise StreamFormatError(f"{path}: line {lineno}: empty token")
-            if format == "ipcsv":
-                parts = token.split(",")
-                if len(parts) != 2:
-                    raise StreamFormatError(
-                        f"{path}: line {lineno}: expected 'src,dst', got {token!r}"
-                    )
-                token = parts[0].strip() + "," + parts[1].strip()
-            try:
-                ids.append(token_id(token))
-            except UnicodeEncodeError:
-                raise StreamFormatError(f"{path}: line {lineno}: not valid UTF-8") from None
-    return np.array(ids, dtype=np.uint64)
+        while block := list(itertools.islice(fh, READ_BLOCK)):
+            # The block's distinct lines in first-occurrence order, each
+            # mapped to its place in that order. Equal lines fail alike, so
+            # the first distinct line to fail is the first line to fail.
+            index = dict.fromkeys(block)
+            digests = []
+            for pos, line in enumerate(index):
+                index[line] = pos
+                token = line.strip()
+                if not token:
+                    raise _malformed(path, n, block, line, "empty token")
+                if ipcsv:
+                    src, comma, dst = token.partition(",")
+                    if not comma or "," in dst:
+                        raise _malformed(
+                            path, n, block, line, f"expected 'src,dst', got {token!r}"
+                        )
+                    src, dst = src.strip(), dst.strip()
+                    if not (src and dst):
+                        raise _malformed(path, n, block, line, f"empty field in {token!r}")
+                    token = src + "," + dst
+                try:
+                    digests.append(token_digest(token))
+                except UnicodeEncodeError:
+                    raise _malformed(path, n, block, line, "not valid UTF-8") from None
+            ids = np.frombuffer(b"".join(digests), "<u8").astype(np.uint64, copy=False)
+            blocks.append(ids[np.fromiter(map(index.__getitem__, block), np.intp, len(block))])
+            n += len(block)
+    return np.concatenate(blocks)
+
+
+def _malformed(path: str, n: int, block: List[str], line: str, reason: str) -> StreamFormatError:
+    """The error for ``line``, first seen in ``block``, which follows ``n`` lines."""
+    return StreamFormatError(f"{path}: line {n + block.index(line) + 1}: {reason}")
 
 
 # -- Metrics ------------------------------------------------------------
