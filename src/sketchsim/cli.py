@@ -293,19 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-b", help="second split output path")
     gen.set_defaults(func=_cmd_gen_zipf)
 
+    default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     est = sub.add_parser("estimate", help="run one similarity estimate")
     est.add_argument("--algo", choices=[a.value for a in Algo], required=True)
     est.add_argument("--memory-bytes", type=int, default=10240)
     est.add_argument("--rows", type=int, default=1)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--adapter", choices=ADAPTERS, default="exact")
+    est.add_argument("--adapter", choices=ADAPTERS, default=default["adapter"])
     est.add_argument("--stream-a", help="first stream file")
     est.add_argument("--stream-b", help="second stream file")
-    est.add_argument("--format", choices=STREAM_FORMATS, default="binary")
-    est.add_argument("--n-items", type=int, default=100_000)
-    est.add_argument("--n-distinct", type=int, default=20_000)
-    est.add_argument("--alpha", type=float, default=0.6)
-    est.add_argument("--split-p", type=float, default=0.5)
+    est.add_argument("--format", choices=STREAM_FORMATS, default=default["stream_format"])
+    est.add_argument("--n-items", type=int, default=default["n_items"])
+    est.add_argument("--n-distinct", type=int, default=default["n_distinct"])
+    est.add_argument("--alpha", type=float, default=default["alpha"])
+    est.add_argument("--split-p", type=float, default=default["split_p"])
     est.set_defaults(func=_cmd_estimate)
 
     swp = sub.add_parser("sweep", help="run a sweep config file")

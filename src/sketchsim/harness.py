@@ -7,6 +7,7 @@ only the timing columns vary between runs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -14,8 +15,9 @@ import math
 import os
 import stat
 import time
-from dataclasses import dataclass, fields
-from typing import IO, List, Sequence, Tuple
+import typing
+from dataclasses import MISSING, dataclass, fields
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +48,6 @@ class StreamFormatError(SketchError):
 class ZeroTruthError(SketchError):
     """Relative error is undefined when the true similarity is zero."""
 
-
-CSV_HEADER = (
-    "algo,adapter,memory_bytes,rows,seed,alpha,"
-    "j_true,j_est_raw,j_est,re,insert_mips,estimate_ms"
-)
 
 STREAM_FORMATS = ("text", "binary", "ipcsv")
 ADAPTERS = ("exact", "cm")
@@ -268,30 +265,25 @@ class RunResult:
     insert_mips: float
     estimate_ms: float
 
-    def to_csv_row(self) -> str:
-        alpha = "" if math.isnan(self.alpha) else f"{self.alpha:.12g}"
-        return ",".join(
-            [
-                self.algo,
-                self.adapter,
-                str(self.memory_bytes),
-                str(self.rows),
-                str(self.seed),
-                alpha,
-                f"{self.j_true:.12g}",
-                f"{self.j_est_raw:.12g}",
-                f"{self.j_est:.12g}",
-                f"{self.re:.12g}",
-                f"{self.insert_mips:.12g}",
-                f"{self.estimate_ms:.12g}",
-            ]
-        )
-
-    def to_json(self) -> str:
+    def _record(self) -> dict:
+        """Each field by name, in order; file data has no alpha, which is None."""
         record = {f.name: getattr(self, f.name) for f in fields(self)}
         if math.isnan(self.alpha):
             record["alpha"] = None
-        return json.dumps(record)
+        return record
+
+    def to_csv_row(self) -> str:
+        """One CSV row under :data:`CSV_HEADER`: floats as ``.12g``, None as empty."""
+        return ",".join(
+            "" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v)
+            for v in self._record().values()
+        )
+
+    def to_json(self) -> str:
+        return json.dumps(self._record())
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunResult))
 
 
 # -- Sweep execution ----------------------------------------------------
@@ -308,9 +300,8 @@ def _build_sketch(algo: Algo, memory_bytes: int, rows: int, seed: int, cfg: Expe
 def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
     if cfg.adapter == "exact":
         return expand_exact_ids(stream)
-    params = SketchParams.derive(
-        cfg.adapter_memory_bytes, cfg.adapter_rows, 4, master_seed=seed
-    )
+    slot_bytes = CmSimilaritySketch.SLOT_BYTES
+    params = SketchParams.derive(cfg.adapter_memory_bytes, cfg.adapter_rows, slot_bytes, seed)
     return expand_cm_ids(stream, params)
 
 
@@ -356,19 +347,25 @@ def _run_cell(
     )
 
 
-def _dataset_for_seed(
-    cfg: ExperimentConfig, seed: int
-) -> Tuple[np.ndarray, np.ndarray, float]:
+def _datasets(cfg: ExperimentConfig) -> Iterator[Tuple[int, np.ndarray, np.ndarray, float, float]]:
+    """``(seed, a, b, alpha, j_true)`` for each seed of the sweep.
+
+    A file pair is read and scored once and shared by every seed; its
+    alpha is NaN. A synthetic pair is drawn and split fresh per seed.
+    """
     if cfg.from_files:
-        return (
-            read_stream(cfg.stream_a, cfg.stream_format),
-            read_stream(cfg.stream_b, cfg.stream_format),
-            float("nan"),
-        )
-    spec = ZipfSpec(cfg.n_items, cfg.n_distinct, cfg.alpha, seed)
-    stream = zipf_stream(spec)
-    a, b = random_split(stream, cfg.split_p, split_seed(seed))
-    return a, b, cfg.alpha
+        a = read_stream(cfg.stream_a, cfg.stream_format)
+        b = read_stream(cfg.stream_b, cfg.stream_format)
+        j_true = multiset_jaccard(a, b)
+        for seed in cfg.seeds:
+            yield seed, a, b, float("nan"), j_true
+        return
+    for seed in cfg.seeds:
+        # The whole stream is left unnamed, so it is freed once split
+        # rather than held while the generator is suspended.
+        spec = ZipfSpec(cfg.n_items, cfg.n_distinct, cfg.alpha, seed)
+        a, b = random_split(zipf_stream(spec), cfg.split_p, split_seed(seed))
+        yield seed, a, b, cfg.alpha, multiset_jaccard(a, b)
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
@@ -376,56 +373,29 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
 
     Cells sharing a seed share one dataset pair and one oracle truth.
     Cells run sequentially so throughput numbers never reflect
-    contention.
+    contention. The output files are closed however the sweep ends.
     """
     results: List[RunResult] = []
-    csv_fh: IO[str] | None = open(cfg.out_csv, "w") if cfg.out_csv else None
-    jsonl_fh: IO[str] | None = open(cfg.out_jsonl, "w") if cfg.out_jsonl else None
-    if csv_fh:
-        csv_fh.write(CSV_HEADER + "\n")
-        csv_fh.flush()
     needs_sets = any(a in _SET_SIZE_FIELDS for a in cfg.algos)
-    file_pair = _dataset_for_seed(cfg, cfg.seeds[0]) if cfg.from_files else None
-    file_truth = None
-    if file_pair is not None:
-        file_truth = multiset_jaccard(file_pair[0], file_pair[1])
-    try:
-        for seed in cfg.seeds:
-            if file_pair is not None:
-                raw_a, raw_b, alpha = file_pair
-                j_true = file_truth
-            else:
-                raw_a, raw_b, alpha = _dataset_for_seed(cfg, seed)
-                j_true = multiset_jaccard(raw_a, raw_b)
-            set_pair = None
-            if needs_sets:
-                set_pair = (_expand(raw_a, cfg, seed), _expand(raw_b, cfg, seed))
-            for algo in cfg.algos:
-                for memory in cfg.memory_bytes:
-                    for rows in cfg.rows:
-                        result = _run_cell(
-                            algo,
-                            memory,
-                            rows,
-                            seed,
-                            alpha,
-                            cfg,
-                            (raw_a, raw_b),
-                            set_pair,
-                            j_true,
-                        )
-                        results.append(result)
-                        if csv_fh:
-                            csv_fh.write(result.to_csv_row() + "\n")
-                            csv_fh.flush()
-                        if jsonl_fh:
-                            jsonl_fh.write(result.to_json() + "\n")
-                            jsonl_fh.flush()
-    finally:
-        if csv_fh:
-            csv_fh.close()
-        if jsonl_fh:
-            jsonl_fh.close()
+    with contextlib.ExitStack() as stack:
+        sinks = []
+        for path, header, to_line in (
+            (cfg.out_csv, CSV_HEADER + "\n", RunResult.to_csv_row),
+            (cfg.out_jsonl, "", RunResult.to_json),
+        ):
+            if path:
+                fh = stack.enter_context(open(path, "w"))
+                fh.write(header)
+                fh.flush()
+                sinks.append((fh, to_line))
+        for seed, a, b, alpha, j_true in _datasets(cfg):
+            set_pair = (_expand(a, cfg, seed), _expand(b, cfg, seed)) if needs_sets else None
+            for algo, memory, rows in itertools.product(cfg.algos, cfg.memory_bytes, cfg.rows):
+                result = _run_cell(algo, memory, rows, seed, alpha, cfg, (a, b), set_pair, j_true)
+                results.append(result)
+                for fh, to_line in sinks:
+                    fh.write(to_line(result) + "\n")
+                    fh.flush()
     return results
 
 
@@ -455,61 +425,46 @@ def summarize(results: Sequence[RunResult]) -> List[dict]:
 
 # -- Config files -------------------------------------------------------
 
-_INT_LIST_KEYS = {"memory_bytes", "rows", "seeds"}
-_INT_KEYS = {
-    "n_items",
-    "n_distinct",
-    "adapter_memory_bytes",
-    "adapter_rows",
-    "minhash_k",
-    "maxloghash_k",
-    "dothash_d",
-    "hll_m_bits",
-}
-_FLOAT_KEYS = {"alpha", "split_p"}
-_STR_KEYS = {
-    "adapter",
-    "stream_a",
-    "stream_b",
-    "stream_format",
-    "out_csv",
-    "out_jsonl",
-}
-
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read a flat key = value sweep description.
 
-    Lists are comma separated; blank lines and ``#`` comments are
-    skipped. Keys mirror ExperimentConfig fields; ``algos`` takes
-    algorithm names.
+    ``#`` starts a comment that runs to the end of its line, so no value
+    holds a ``#``; blank lines are skipped. Each key is an
+    ExperimentConfig field, given at most once, and is parsed by the
+    field's type: a tuple is a comma list of its element type (``algos``
+    takes algorithm names), ``int`` and ``float`` fields convert, and the
+    rest are strings. The fields without a default are required.
     """
+    types = typing.get_type_hints(ExperimentConfig)
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            stripped = line.partition("#")[0].strip()
+            if not stripped:
                 continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, _, raw = stripped.partition("=")
+            key, eq, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
             try:
-                if key == "algos":
-                    values[key] = tuple(Algo(tok.strip()) for tok in raw.split(","))
-                elif key in _INT_LIST_KEYS:
-                    values[key] = tuple(int(tok) for tok in raw.split(","))
-                elif key in _INT_KEYS:
-                    values[key] = int(raw)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(raw)
-                elif key in _STR_KEYS:
-                    values[key] = raw
-                else:
+                if not eq:
+                    raise ValueError("expected key = value")
+                if key not in types:
                     raise ValueError(f"unknown key {key!r}")
+                if key in values:
+                    raise ValueError(f"repeated key {key!r}")
+                values[key] = _parse_value(types[key], raw)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    missing = {"algos", "memory_bytes", "rows", "seeds"} - set(values)
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    missing = required - set(values)
     if missing:
         raise ValueError(f"{path}: missing required keys: {sorted(missing)}")
     return ExperimentConfig(**values)
+
+
+def _parse_value(kind, raw: str):
+    """The value of a field of type ``kind`` from its config text."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(tok.strip()) for tok in raw.split(","))
+    return kind(raw) if kind in (int, float) else raw

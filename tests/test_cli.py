@@ -3,7 +3,7 @@ import pytest
 
 from sketchsim.cli import main
 from sketchsim.core import Algo
-from sketchsim.harness import CSV_HEADER, ExperimentConfig, _dataset_for_seed, read_stream
+from sketchsim.harness import CSV_HEADER, ExperimentConfig, _datasets, read_stream
 
 
 class TestGenZipf:
@@ -53,7 +53,7 @@ class TestGenZipf:
             algos=(Algo.CM,), memory_bytes=(1024,), rows=(1,), seeds=(seed,),
             n_items=3000, n_distinct=200, alpha=0.6, split_p=0.3,
         )
-        a, b, _ = _dataset_for_seed(cfg, seed)
+        ((_, a, b, _, _),) = _datasets(cfg)
         assert read_stream(str(out_a), "binary").tolist() == a.tolist()
         assert read_stream(str(out_b), "binary").tolist() == b.tolist()
 

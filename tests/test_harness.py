@@ -1,8 +1,13 @@
+import gc
 import json
 import math
 import os
 import re
 import threading
+import warnings
+import weakref
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,8 +264,54 @@ class TestRunExperiment:
         pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
         pa.write_bytes(np.arange(10, dtype="<u8").tobytes())
         pb.write_bytes(np.arange(5, 15, dtype="<u8").tobytes())
-        run_experiment(small_config(stream_a=str(pa), stream_b=str(pb), seeds=(0,)))
+        run_experiment(small_config(stream_a=str(pa), stream_b=str(pb), seeds=(0, 1)))
+        # A file pair is read once for the whole sweep, not once per seed.
         assert calls[2:] == ["read_stream", "read_stream"]
+
+    def test_whole_stream_freed_once_split(self, monkeypatch):
+        # Only the split pair outlives the split: holding the whole
+        # synthetic stream through the cells would add its size to the
+        # sweep's peak memory.
+        streams, alive_at_truth = [], []
+        zipf_stream, multiset_jaccard = harness.zipf_stream, harness.multiset_jaccard
+
+        def keep_ref(spec):
+            stream = zipf_stream(spec)
+            streams.append(weakref.ref(stream))
+            return stream
+
+        def check(a, b):
+            alive_at_truth.append(streams[-1]() is not None)
+            return multiset_jaccard(a, b)
+
+        monkeypatch.setattr(harness, "zipf_stream", keep_ref)
+        monkeypatch.setattr(harness, "multiset_jaccard", check)
+        run_experiment(small_config(seeds=(0, 1)))
+        assert alive_at_truth == [False, False]
+
+    def test_outputs_closed_when_an_input_is_malformed(self, tmp_path):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        pa.write_text("1.2.3.4,5.6.7.8\nnocomma\n")
+        pb.write_text("1.2.3.4,5.6.7.8\n")
+        cfg = small_config(
+            stream_a=str(pa),
+            stream_b=str(pb),
+            stream_format="ipcsv",
+            out_csv=str(tmp_path / "o.csv"),
+            out_jsonl=str(tmp_path / "o.jsonl"),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            # Not pytest.raises: its traceback would keep a leaked handle alive.
+            try:
+                run_experiment(cfg)
+            except StreamFormatError:
+                pass
+            else:
+                pytest.fail("malformed ipcsv input was accepted")
+            gc.collect()
+        leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == []
 
 
 class TestBuildSketch:
@@ -291,6 +342,55 @@ class TestSummarize:
     def test_single_seed_std_is_zero(self):
         summary = summarize(run_experiment(small_config(seeds=(0,))))
         assert summary[0]["re_std"] == 0.0
+
+
+class TestDocumentedFormats:
+    # The CSV header and row fields are a documented format; these pin
+    # them exactly, apart from the two timing columns.
+    def test_csv_header(self):
+        assert CSV_HEADER == (
+            "algo,adapter,memory_bytes,rows,seed,alpha,"
+            "j_true,j_est_raw,j_est,re,insert_mips,estimate_ms"
+        )
+
+    def test_synthetic_row_fields(self):
+        (r,) = run_experiment(small_config(seeds=(0,)))
+        assert r.to_csv_row().split(",")[:10] == (
+            "cm,raw,4096,2,0,0.6,0.64744645799,0.722356183259,0.722356183259,0.115700262692"
+        ).split(",")
+        assert json.loads(r.to_json())["alpha"] == 0.6
+
+    def test_file_pair_rows_leave_alpha_empty(self, tmp_path):
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        pa.write_text("x\ny\nz\nx\nx\n")
+        pb.write_text("x\ny\nw\nw\n")
+        cfg = ExperimentConfig(
+            algos=(Algo.WEIGHTED, Algo.MINHASH),
+            memory_bytes=(1024,),
+            rows=(1,),
+            seeds=(3,),
+            stream_a=str(pa),
+            stream_b=str(pb),
+            stream_format="text",
+            out_jsonl=str(tmp_path / "o.jsonl"),
+        )
+        rows = [r.to_csv_row().split(",")[:10] for r in run_experiment(cfg)]
+        assert rows == [
+            "weighted,raw,1024,1,3,,0.285714285714,0.285714285714,0.285714285714,0".split(","),
+            "minhash,exact,1024,1,3,,0.285714285714,0.3359375,0.3359375,0.17578125".split(","),
+        ]
+        for line in (tmp_path / "o.jsonl").read_text().splitlines():
+            assert '"alpha": null' in line
+
+    def test_readme_names_every_config_key_and_the_header(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        keys, header = re.search(
+            r"Recognized keys:(.*?)Output rows carry the header\s*`([^`]*)`", readme, re.S
+        ).groups()
+        # Parentheses hold notes and example values, not keys.
+        named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
+        assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
+        assert header == CSV_HEADER
 
 
 class TestParseConfig:
@@ -330,6 +430,23 @@ class TestParseConfig:
         path.write_text("algos cm\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_config(str(path))
+
+    def test_repeated_key_rejected_at_its_second_line(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("algos = cm\nmemory_bytes = 1024\nrows = 1\nseeds = 0\nseeds = 1, 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: ") + ".*seeds"):
+            parse_config(str(path))
+
+    def test_inline_comments_dropped(self, tmp_path):
+        path = tmp_path / "notes.cfg"
+        path.write_text(
+            "algos = cm, count  # grids only\n"
+            "memory_bytes = 1024\nrows = 1\nseeds = 0\n"
+            "n_items = 5000  # small\n"
+            "out_csv = x.csv  # note\n"
+        )
+        cfg = parse_config(str(path))
+        assert (cfg.algos, cfg.n_items, cfg.out_csv) == ((Algo.CM, Algo.COUNT), 5000, "x.csv")
 
     @pytest.mark.parametrize("line", ["rows = x", "alpha = high", "algos = cm, nope"])
     def test_unparsable_value_names_its_line(self, tmp_path, line):

@@ -4,7 +4,9 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/sketchsim/*.py"), *ROOT.glob("tests/*.py")])
+SOURCES = sorted(
+    [*ROOT.glob("src/sketchsim/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]
+)
 
 
 def unused_imports(path: Path):
