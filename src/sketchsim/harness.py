@@ -377,6 +377,10 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
     """
     results: List[RunResult] = []
     needs_sets = any(a in _SET_SIZE_FIELDS for a in cfg.algos)
+    # The exact expansion of a file pair is the same for every seed; the
+    # cm adapter's params derive from the seed.
+    shared_sets = cfg.from_files and cfg.adapter == "exact"
+    set_pair = None
     with contextlib.ExitStack() as stack:
         sinks = []
         for path, header, to_line in (
@@ -389,7 +393,8 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
                 fh.flush()
                 sinks.append((fh, to_line))
         for seed, a, b, alpha, j_true in _datasets(cfg):
-            set_pair = (_expand(a, cfg, seed), _expand(b, cfg, seed)) if needs_sets else None
+            if needs_sets and not (shared_sets and set_pair):
+                set_pair = (_expand(a, cfg, seed), _expand(b, cfg, seed))
             for algo, memory, rows in itertools.product(cfg.algos, cfg.memory_bytes, cfg.rows):
                 result = _run_cell(algo, memory, rows, seed, alpha, cfg, (a, b), set_pair, j_true)
                 results.append(result)

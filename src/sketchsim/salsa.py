@@ -24,14 +24,21 @@ the row storage and its growth are its own.
 
 A batch insert hashes through the grids' chunked pass,
 :meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
-positions and signs. The row walks them in chunks of ``INSERT_CHUNK``
-arrivals. Within a chunk every position resolves to its current extent,
-and per-extent running sums give the value each counter would hold
-after each arrival. Everything before the first arrival that
-would leave its counter's range is applied at once; that arrival alone
-goes through the scalar :meth:`SalsaRow.add`, which grows the counter,
-and the walk resumes after it under the new layout. A row merges at most
-``width - 1`` times, so nearly every arrival takes the vector path, and
+positions and sign bits. The row resolves every arrival to its extent
+and counts the arrivals and +1 signs per extent. An extent whose worst
+case over the chunk fits its level (``cm + n`` for the unsigned field,
+``c`` moved by every sign for the signed one) cannot grow. A growth
+coalesces the parent block and may go on up, so each extent that can
+grow marks a risk region: its parent block, widened while the block's
+worst case passes its level's cap. Extents outside every risk region
+take their counts in one step. Only the arrivals inside risk regions
+are walked in order, in windows of ``INSERT_CHUNK``: per-extent running
+sums give each counter's value after each arrival; in each region,
+everything before the first arrival that would leave its counter's
+range is applied at once, that arrival goes through the scalar
+:meth:`SalsaRow.add`, the only growth path, and the region's later
+arrivals carry into the next window. Regions are disjoint and hold
+every growth of the chunk, so one window takes a growth in each, and
 the result equals feeding every arrival through ``add`` in order.
 """
 
@@ -57,7 +64,7 @@ from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 # not a whole byte count.
 SLOT_BITS = 18
 
-# Arrivals resolved per vector step of a batch insert.
+# Arrivals per in-order window of a batch insert.
 INSERT_CHUNK = 1024
 
 # Counter caps by level: a level-g counter has 2**g bytes per field, and
@@ -66,6 +73,15 @@ INSERT_CHUNK = 1024
 # number of arrivals inserted.
 _CM_CAPS = np.array([255, (1 << 16) - 1, (1 << 32) - 1, (1 << 62) - 1], dtype=np.int64)
 _C_CAPS = np.array([127, (1 << 15) - 1, (1 << 31) - 1, (1 << 61) - 1], dtype=np.int64)
+
+
+def _covered(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """Length-``size`` mask, True on each ``[lo[i], hi[i])`` of disjoint
+    ranges."""
+    edge = np.zeros(size + 1, dtype=np.int64)
+    edge[lo] += 1
+    edge[hi] -= 1
+    return np.cumsum(edge[:-1]) > 0
 
 
 def salsa_width(memory_bytes: int, rows: int) -> int:
@@ -168,43 +184,192 @@ class SalsaRow:
         self.cm[start] += d_cm
         self.c[start] += d_c
 
-    def add_many(self, positions: np.ndarray, signs: np.ndarray) -> None:
-        """Apply ``add(pos, 1, sign)`` for each arrival in order.
+    def add_many(self, positions: np.ndarray, sign_bits: np.ndarray) -> None:
+        """Apply ``add(pos, 1, +1 if bit else -1)`` for each arrival in order.
 
-        Raises :class:`RowSaturatedError` as ``add`` does, after applying
-        the arrivals before the saturating one.
+        ``positions`` and ``sign_bits`` are int64 arrays as long as a
+        hash chunk at most; a sign bit is 1 for +1 and 0 for -1. Raises
+        :class:`RowSaturatedError` as ``add`` does, after applying the
+        arrivals before the saturating one.
         """
+        if len(positions):
+            routed, shift = self._add_safe(positions, sign_bits)
+            if routed.size:
+                self._add_at_risk(routed, shift, positions, sign_bits)
+
+    def _sorted_keys(self, positions: np.ndarray, sign_bits: np.ndarray) -> Tuple[np.ndarray, int]:
+        """``(keys, shift)``: one key ``start << shift | index << 1 | bit``
+        per arrival, where ``start`` is its extent's start, sorted.
+
+        The sort groups arrivals by extent and keeps each group in
+        arrival order, as a stable sort by start would.
+        """
+        shift = len(positions).bit_length() + 1
+        key = np.left_shift(np.int64(-1), self.level_of[positions])
+        key &= positions
+        key <<= shift
+        low = np.arange(len(positions))
+        low <<= 1
+        low |= sign_bits
+        key |= low
+        key.sort()
+        return key, shift
+
+    @staticmethod
+    def _over(level, cm: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray) -> np.ndarray:
+        """Whether a counter at ``level`` whose cm reaches ``cm`` and whose
+        c spans ``[c_lo, c_hi]`` leaves its range."""
+        g = np.minimum(level, 3)
+        return (cm > _CM_CAPS[g]) | (c_hi > _C_CAPS[g]) | (c_lo < -_C_CAPS[g])
+
+    def _add_safe(self, positions: np.ndarray, sign_bits: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Add each safe extent's arrivals in one step; return the others
+        as sorted keys ``index << shift | region``, with ``shift``.
+
+        An extent is safe when its worst case over the chunk fits its
+        level and it lies in no risk region.
+        """
+        key, shift = self._sorted_keys(positions, sign_bits)
+        change = key[1:] ^ key[:-1]
+        change >>= shift
+        # Arrivals, and +1 signs, before each extent in sorted order.
+        cn = np.concatenate(([0], np.flatnonzero(change) + 1, [len(key)]))
+        del change
+        cp = np.concatenate(([0], np.cumsum(np.add.reduceat(key & 1, cn[:-1]))))
+        ext = key[cn[:-1]] >> shift
+        n, up = cn[1:] - cn[:-1], cp[1:] - cp[:-1]
+        lo, hi = self._risk_regions(ext, n, up, cn, cp)
+        # Region i holds the extents ext[first[i]:last[i]].
+        first, last = np.searchsorted(ext, lo), np.searchsorted(ext, hi)
+        inside = _covered(first, last, len(ext))
+        safe = ~inside
+        self.cm[ext[safe]] += n[safe]
+        self.c[ext[safe]] += 2 * up[safe] - n[safe]
+        if not lo.size:
+            return lo, 0
+        # Free the chunk-long keys before keying the routed arrivals.
+        routed = key[np.repeat(inside, n)]
+        del key
+        routed >>= 1
+        routed &= (1 << (shift - 1)) - 1
+        shift = len(lo).bit_length()
+        routed <<= shift
+        routed |= np.repeat(np.arange(len(lo)), cn[last] - cn[first])
+        routed.sort()
+        return routed, shift
+
+    def _risk_regions(
+        self, ext: np.ndarray, n: np.ndarray, up: np.ndarray, cn: np.ndarray, cp: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted, disjoint ``[lo, hi)`` blocks that hold every growth the
+        chunk can start, given its extents ``ext``, their counts ``n`` of
+        arrivals and ``up`` of +1 signs, and the prefix sums ``cn`` and
+        ``cp`` of those counts.
+
+        An extent can grow when its worst case fits no longer: ``cm + n``
+        for the unsigned field, ``c`` moved by every sign for the signed
+        one. A growth coalesces the parent block, and goes on up while
+        the block's value leaves its level's range. So each such
+        extent's block is widened from its parent until the block's
+        worst case, its counters plus the chunk's arrivals into it, fits
+        its level.
+        """
+        level, c = self.level_of[ext], self.c[ext]
+        grows = self._over(level, self.cm[ext] + n, c + up, c - (n - up))
+        top = self.width.bit_length() - 1
+        # Each growing extent's block starts as its parent.
+        growing, parent = ext[grows], np.minimum(level[grows] + 1, top)
+        pending = np.empty(0, dtype=np.int64)
+        if not growing.size:
+            return pending, pending
+        found = [pending, pending]
+        last = int(parent.max())
+        for g in range(int(parent.min()), top + 1):
+            if g > last and not pending.size:
+                break
+            pending = np.concatenate((pending, growing[parent == g])) & -(1 << g)
+            over = self._block_over(pending, g, ext, cn, cp) if g < top else pending < 0
+            found += [pending[~over], pending[~over] + (1 << g)]
+            pending = pending[over]
+        lo, hi = np.concatenate(found[0::2]), np.concatenate(found[1::2])
+        # Blocks nest, repeat or are disjoint: keep each block that no
+        # earlier one holds.
+        order = np.lexsort((-hi, lo))
+        lo, hi = lo[order], hi[order]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[1:] = hi[1:] > np.maximum.accumulate(hi)[:-1]
+        return lo[keep], hi[keep]
+
+    def _block_over(
+        self, blocks: np.ndarray, g: int, ext: np.ndarray, cn: np.ndarray, cp: np.ndarray
+    ) -> np.ndarray:
+        """Whether each level-``g`` block, as one counter, can leave its
+        range: its extents' values plus the chunk's arrivals into it."""
+        size = 1 << g
+        pos = (blocks[:, None] + np.arange(size)).ravel()
+        own = (pos & ((1 << self.level_of[pos].astype(np.int64)) - 1)) == 0
+        cm = np.where(own, self.cm[pos], 0).reshape(-1, size).sum(axis=1)
+        c = np.where(own, self.c[pos], 0).reshape(-1, size).sum(axis=1)
+        i, j = np.searchsorted(ext, blocks), np.searchsorted(ext, blocks + size)
+        n, up = cn[j] - cn[i], cp[j] - cp[i]
+        return self._over(g, cm + n, c + up, c - (n - up))
+
+    def _add_at_risk(
+        self, routed: np.ndarray, shift: int, positions: np.ndarray, sign_bits: np.ndarray
+    ) -> None:
+        """Apply the arrivals ``routed`` (keys ``index << shift | region``)
+        in order, in windows of ``INSERT_CHUNK``; the arrivals a window
+        defers lead the next."""
+        carry = np.empty(0, dtype=np.int64)
         lo = 0
-        while lo < len(positions):
-            pos = positions[lo : lo + INSERT_CHUNK]
-            sign = signs[lo : lo + INSERT_CHUNK]
-            level = self.level_of[pos].astype(np.int64)
-            start = (pos >> level) << level
-            # Group arrivals by extent, keeping arrival order within a group.
-            order = np.argsort(start, kind="stable")
-            s_start, s_sign = start[order], sign[order]
-            first = np.empty(len(pos), dtype=bool)
-            first[0] = True
-            first[1:] = s_start[1:] != s_start[:-1]
-            head = np.maximum.accumulate(np.where(first, np.arange(len(pos)), 0))
-            s_cm = self.cm[s_start] + (np.arange(len(pos)) - head + 1)
-            csum = np.cumsum(s_sign)
-            s_c = self.c[s_start] + csum - (csum[head] - s_sign[head])
-            s_level = np.minimum(level[order], 3)
-            over = (s_cm > _CM_CAPS[s_level]) | (np.abs(s_c) > _C_CAPS[s_level])
-            stop = int(order[over].min()) if over.any() else len(pos)
-            # Each extent takes the running value of its last arrival
-            # before ``stop``; within a group those arrivals form a prefix.
-            kept = order < stop
-            last = kept.copy()
-            last[:-1] &= ~(kept[1:] & ~first[1:])
-            self.cm[s_start[last]] = s_cm[last]
-            self.c[s_start[last]] = s_c[last]
-            if stop == len(pos):
-                lo += stop
-            else:
-                self.add(int(pos[stop]), 1, int(sign[stop]))
-                lo += stop + 1
+        while lo < len(routed) or carry.size:
+            hi = min(len(routed), lo + INSERT_CHUNK - carry.size)
+            slots = np.concatenate((carry, np.arange(lo, hi)))
+            lo = hi
+            index, region = routed[slots] >> shift, routed[slots] & ((1 << shift) - 1)
+            deferred = self._window(positions[index], sign_bits[index], region, 1 << shift)
+            carry = slots[deferred]
+
+    def _window(
+        self, positions: np.ndarray, sign_bits: np.ndarray, region: np.ndarray, n_regions: int
+    ) -> np.ndarray:
+        """One vector step over a window of in-order arrivals; returns
+        the mask of the arrivals it defers.
+
+        Per-extent running sums give the value each counter would hold
+        after each arrival. In each region, everything before the first
+        arrival that would leave its counter's range is applied at once;
+        that arrival goes through ``add``, and the region's later
+        arrivals are deferred. Regions are disjoint and hold every
+        growth, so they do not interact.
+        """
+        key, shift = self._sorted_keys(positions, sign_bits)
+        starts = key >> shift
+        order = (key >> 1) & ((1 << (shift - 1)) - 1)
+        sign = 2 * (key & 1) - 1
+        m = len(key)
+        step = np.arange(m)
+        first = np.empty(m, dtype=bool)
+        first[0] = True
+        np.not_equal(starts[1:], starts[:-1], out=first[1:])
+        head = np.maximum.accumulate(np.where(first, step, 0))
+        s_cm = self.cm[starts] + (step - head + 1)
+        csum = np.cumsum(sign)
+        s_c = self.c[starts] + csum - (csum[head] - sign[head])
+        over = self._over(self.level_of[starts], s_cm, s_c, s_c)
+        cut = np.full(n_regions, m)
+        np.minimum.at(cut, region[order[over]], order[over])
+        cut = cut[region]
+        # Each extent takes the running value of its last arrival before
+        # its region's cut; within an extent those arrivals form a prefix.
+        kept = order < cut[order]
+        last = kept.copy()
+        last[:-1] &= ~(kept[1:] & ~first[1:])
+        self.cm[starts[last]] = s_cm[last]
+        self.c[starts[last]] = s_c[last]
+        for i in np.flatnonzero(step == cut).tolist():
+            self.add(int(positions[i]), 1, 2 * int(sign_bits[i]) - 1)
+        return step > cut
 
     def coarsened(self, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, cm, c) of this row's counters summed into the layout
@@ -265,7 +430,7 @@ class SalsaSimilaritySketch(_CounterSketch):
         for row, (idx, sign) in self.hash.chunk_hashes(items, (HashKind.INDEX, HashKind.SIGN)):
             sign >>= np.uint64(63)
             positions = bucket_of(idx, self.params.width).view(np.int64)
-            staged[row].add_many(positions, 2 * sign.view(np.int64) - 1)
+            staged[row].add_many(positions, sign.view(np.int64))
         self.rows = staged
         self.total_inserted += items.size
 

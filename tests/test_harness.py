@@ -6,7 +6,7 @@ import re
 import threading
 import warnings
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +267,60 @@ class TestRunExperiment:
         run_experiment(small_config(stream_a=str(pa), stream_b=str(pb), seeds=(0, 1)))
         # A file pair is read once for the whole sweep, not once per seed.
         assert calls[2:] == ["read_stream", "read_stream"]
+
+    def test_exact_expansion_of_a_file_pair_runs_once(self, tmp_path, monkeypatch):
+        # The exact expansion of a shared file pair does not depend on the
+        # seed, so a 3-seed sweep expands each side once, and every row
+        # equals the row of a sweep over that seed alone.
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        rng = np.random.default_rng(4)
+        for path in (pa, pb):
+            lines = [f"10.0.0.{i % 7},10.0.1.{i % 3}" for i in rng.zipf(1.5, size=300)]
+            path.write_text("\n".join(lines) + "\n")
+        cfg = small_config(
+            algos=(Algo.MINHASH,),
+            seeds=(0, 1, 2),
+            stream_a=str(pa),
+            stream_b=str(pb),
+            stream_format="ipcsv",
+            adapter="exact",
+        )
+        calls = []
+        expand_exact_ids = harness.expand_exact_ids
+
+        def counted(stream):
+            calls.append(len(stream))
+            return expand_exact_ids(stream)
+
+        monkeypatch.setattr(harness, "expand_exact_ids", counted)
+        rows = run_experiment(cfg)
+        assert calls == [300, 300]
+        alone = [run_experiment(replace(cfg, seeds=(seed,)))[0] for seed in cfg.seeds]
+        assert len(calls) == 2 + 2 * len(cfg.seeds)
+
+        def untimed(r):
+            return replace(r, insert_mips=0.0, estimate_ms=0.0).to_csv_row()
+
+        assert [untimed(r) for r in rows] == [untimed(r) for r in alone]
+
+    def test_cm_expansion_runs_per_seed(self, tmp_path, monkeypatch):
+        # The cm adapter's params derive from the seed, so it is not shared.
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        pa.write_bytes(np.arange(10, dtype="<u8").tobytes())
+        pb.write_bytes(np.arange(5, 15, dtype="<u8").tobytes())
+        seeds = []
+        expand_cm_ids = harness.expand_cm_ids
+
+        def counted(stream, params):
+            seeds.append(params.master_seed)
+            return expand_cm_ids(stream, params)
+
+        monkeypatch.setattr(harness, "expand_cm_ids", counted)
+        cfg = small_config(
+            algos=(Algo.MINHASH,), stream_a=str(pa), stream_b=str(pb), adapter="cm"
+        )
+        run_experiment(cfg)
+        assert seeds == [0, 0, 1, 1]
 
     def test_whole_stream_freed_once_split(self, monkeypatch):
         # Only the split pair outlives the split: holding the whole

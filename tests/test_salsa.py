@@ -1,8 +1,11 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
 from conftest import multiset_of, random_stream_pair
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchsim.core import (
     BudgetTooSmallError,
@@ -11,6 +14,8 @@ from sketchsim.core import (
     SketchParams,
     UndefinedSimilarityError,
 )
+from sketchsim.datagen import ZipfSpec, zipf_stream
+from sketchsim.hashing import HASH_CHUNK
 from sketchsim.salsa import INSERT_CHUNK, SalsaRow, SalsaSimilaritySketch, salsa_width
 from sketchsim.sketches import WeightedSimilaritySketch, weighted_row_similarity
 
@@ -440,3 +445,144 @@ class TestInsertMatchesScalarReplay:
             s.insert_many(items)
         assert s.dump() == before
         assert s.total_inserted == total
+
+
+def replay_row(row, positions, bits):
+    """Copy of ``row`` fed each arrival through the scalar ``add``; the
+    saturation error, if any, is returned beside it."""
+    ref = row.copy()
+    try:
+        for pos, bit in zip(positions.tolist(), bits.tolist()):
+            ref.add(pos, 1, 2 * bit - 1)
+    except RowSaturatedError as err:
+        return ref, str(err)
+    return ref, None
+
+
+def add_many_caught(row, positions, bits):
+    try:
+        row.add_many(positions, bits)
+    except RowSaturatedError as err:
+        return str(err)
+    return None
+
+
+def counting(monkeypatch, name):
+    """Count calls to ``SalsaRow.<name>`` and the arrivals passed to it
+    in its first argument."""
+    seen = {"calls": 0, "arrivals": 0}
+    original = getattr(SalsaRow, name)
+
+    def spy(self, arrivals, *args):
+        seen["calls"] += 1
+        seen["arrivals"] += len(arrivals)
+        return original(self, arrivals, *args)
+
+    monkeypatch.setattr(SalsaRow, name, spy)
+    return seen
+
+
+def arrivals(*runs):
+    """Positions and sign bits of interleaved runs of ``(pos, bit, n)``."""
+    pos = np.concatenate([np.full(n, p, dtype=np.int64) for p, _, n in runs])
+    bits = np.concatenate([np.full(n, b, dtype=np.int64) for _, b, n in runs])
+    order = np.random.default_rng(len(pos)).permutation(len(pos))
+    return pos[order], bits[order]
+
+
+class TestRiskSplit:
+    """``SalsaRow.add_many`` against one scalar ``add`` per arrival."""
+
+    def test_growths_in_disjoint_blocks_share_a_step(self, monkeypatch):
+        row = SalsaRow(16)
+        pos, bits = arrivals((2, 1, 300), (9, 0, 300), (3, 1, 5), (12, 0, 40))
+        expected, _ = replay_row(row, pos, bits)
+        windows = counting(monkeypatch, "_window")
+        row.add_many(pos, bits)
+        assert_rows_equal([row], [expected])
+        assert row.extent_of(2) == (2, 2) and row.extent_of(9) == (8, 2)
+        assert row.extent_of(12) == (12, 1)
+        # One step takes both growths; a second applies what followed them.
+        assert windows["calls"] == 2
+
+    def test_cascade_from_level_zero_to_two_within_a_chunk(self):
+        # One hash chunk of +1 arrivals, nearly all at byte 5: its counter
+        # passes c's level-0 cap early, and the 2-byte counter [4, 6)
+        # passes c's level-1 cap near the end. Byte 6 may grow too, so
+        # its block [6, 8) is a risk region inside the one of byte 5.
+        row = SalsaRow(16)
+        for pos in (4, 6):
+            for _ in range(100):
+                row.add(pos, 1, 1)
+        pos, bits = arrivals((5, 1, HASH_CHUNK - 88), (4, 1, 20), (6, 1, 30), (11, 0, 38))
+        expected, _ = replay_row(row, pos, bits)
+        row.add_many(pos, bits)
+        assert_rows_equal([row], [expected])
+        assert row.extent_of(5) == (4, 4)
+        assert int(row.c[4]) == 200 + HASH_CHUNK - 88 + 20 + 30
+
+    def test_risk_region_covering_the_whole_row(self, monkeypatch):
+        # The block [0, 2) may pass c's level-1 cap, so the region widens
+        # to the whole row, and the light bytes 2 and 3 take the in-order
+        # path with the rest.
+        row = SalsaRow(4)
+        pos, bits = arrivals((0, 1, 20_000), (1, 1, 15_000), (2, 0, 50), (3, 1, 7))
+        expected, _ = replay_row(row, pos, bits)
+        routed = counting(monkeypatch, "_add_at_risk")
+        row.add_many(pos, bits)
+        assert_rows_equal([row], [expected])
+        assert routed["arrivals"] == len(pos)
+        assert row.extent_of(3) == (0, 4)
+
+    @settings(max_examples=150, deadline=None)
+    # One byte saturates at the 256th arrival, within the second batch.
+    @example(width_log=0, n=400, skew=0.0, p_plus=0.5, cuts=[0.3], seed=1)
+    @given(
+        width_log=st.integers(0, 10),
+        n=st.integers(1, 4000),
+        skew=st.sampled_from([0.0, 1.1, 1.5, 3.0]),
+        p_plus=st.sampled_from([0.0, 0.02, 0.5, 0.9, 1.0]),
+        cuts=st.lists(st.floats(0, 1), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_replay(self, width_log, n, skew, p_plus, cuts, seed):
+        rng = np.random.default_rng(seed)
+        width = 1 << width_log
+        if skew:
+            pos = (rng.zipf(skew, size=n) - 1) % width
+        else:
+            pos = rng.integers(0, width, size=n)
+        pos = pos.astype(np.int64)
+        bits = (rng.random(n) < p_plus).astype(np.int64)
+        row = SalsaRow(width)
+        expected, expected_err = replay_row(row, pos, bits)
+        err = None
+        for lo, hi in itertools.pairwise([0, *sorted(int(c * n) for c in cuts), n]):
+            err = add_many_caught(row, pos[lo:hi], bits[lo:hi])
+            if err:
+                break
+        # On saturation both stop at the same arrival, with every arrival
+        # before it applied.
+        assert err == expected_err
+        assert_rows_equal([row], [expected])
+
+    def test_wide_row(self):
+        # A 2 MB budget: half a million bytes, a few of them hot.
+        s = SalsaSimilaritySketch.from_budget(2 << 20, 1, 21)
+        rng = np.random.default_rng(22)
+        items = (rng.zipf(1.2, size=60_000) % 40_000).astype(np.uint64)
+        expected = replay(s, items)
+        s.insert_many(items)
+        assert_rows_equal(s.rows, expected)
+        assert s.params.width == 1 << 19
+        assert int(s.rows[0].level_of.max()) >= 1
+
+    def test_most_arrivals_skip_the_in_order_path(self, monkeypatch):
+        # The in-order path is exact for any routing, so only a count
+        # shows whether the safe extents take theirs in one step.
+        stream = zipf_stream(ZipfSpec(n_items=100_000, n_distinct=50_000, alpha=1.0, seed=1))
+        s = SalsaSimilaritySketch.from_budget(10 * 1024, 1, 1)
+        routed = counting(monkeypatch, "_add_at_risk")
+        s.insert_many(stream)
+        assert s.rows[0].total_cm() == len(stream)
+        assert routed["arrivals"] <= 0.25 * len(stream)
