@@ -409,22 +409,15 @@ class DotHashSketch(_SetSketch):
         self._check_compatible(other)
         return float(np.dot(self.vec, other.vec))
 
-    def estimate_jaccard(
-        self,
-        other: "DotHashSketch",
-        card_a: int | None = None,
-        card_b: int | None = None,
-    ) -> JaccardEstimate:
+    def estimate_jaccard(self, other: "DotHashSketch") -> JaccardEstimate:
         """Inner-product intersection over inclusion-exclusion union.
 
-        Cardinalities default to the insert counts, which equal the set
-        sizes when each element was inserted exactly once.
+        The set sizes are the insert counts, as each element of a set is
+        inserted once.
         """
         self._check_estimable(other)
-        card_a = self.total_inserted if card_a is None else card_a
-        card_b = other.total_inserted if card_b is None else card_b
         inter = self.estimate_intersection(other)
-        denom = card_a + card_b - inter
+        denom = self.total_inserted + other.total_inserted - inter
         if denom <= 0:
             raise DegenerateEstimateError(
                 f"estimated union {denom} is not positive; d is too small "

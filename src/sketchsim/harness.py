@@ -62,14 +62,8 @@ _SKETCH_CLASSES = {
     Algo.MAXLOGHASH: MaxLogHashSketch,
     Algo.DOTHASH: DotHashSketch,
 }
-# The set baselines, each with the config field that, when nonzero,
-# overrides the size its class derives from the budget.
-_SET_SIZE_FIELDS = {
-    Algo.MINHASH: "minhash_k",
-    Algo.HLL: "hll_m_bits",
-    Algo.MAXLOGHASH: "maxloghash_k",
-    Algo.DOTHASH: "dothash_d",
-}
+# The set baselines, which see the adapter-expanded streams.
+_SET_ALGOS = {Algo.MINHASH, Algo.HLL, Algo.MAXLOGHASH, Algo.DOTHASH}
 
 
 # -- Ingestion ----------------------------------------------------------
@@ -199,8 +193,7 @@ class ExperimentConfig:
     The dataset is either a synthetic Zipf pair (drawn and split fresh per
     seed) or a fixed file pair via stream_a/stream_b. Set-based baselines
     consume the adapter-expanded stream; grid sketches consume it raw.
-    Baseline sizes derive from the memory budget unless the explicit
-    override fields are nonzero.
+    Every sketch, baselines included, is sized from the memory budget.
     """
 
     algos: Tuple[Algo, ...]
@@ -217,10 +210,6 @@ class ExperimentConfig:
     adapter: str = "exact"
     adapter_memory_bytes: int = 1 << 16
     adapter_rows: int = 2
-    minhash_k: int = 0
-    maxloghash_k: int = 0
-    dothash_d: int = 0
-    hll_m_bits: int = 0
     out_csv: str | None = None
     out_jsonl: str | None = None
 
@@ -289,12 +278,8 @@ CSV_HEADER = ",".join(f.name for f in fields(RunResult))
 # -- Sweep execution ----------------------------------------------------
 
 
-def _build_sketch(algo: Algo, memory_bytes: int, rows: int, seed: int, cfg: ExperimentConfig):
-    cls = _SKETCH_CLASSES[algo]
-    size = getattr(cfg, _SET_SIZE_FIELDS[algo]) if algo in _SET_SIZE_FIELDS else 0
-    if size:
-        return cls(size, master_seed=seed)
-    return cls.from_budget(memory_bytes, rows, seed)
+def _build_sketch(algo: Algo, memory_bytes: int, rows: int, seed: int):
+    return _SKETCH_CLASSES[algo].from_budget(memory_bytes, rows, seed)
 
 
 def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
@@ -316,15 +301,15 @@ def _run_cell(
     set_pair: Tuple[np.ndarray, np.ndarray] | None,
     j_true: float,
 ) -> RunResult:
-    if algo in _SET_SIZE_FIELDS:
+    if algo in _SET_ALGOS:
         assert set_pair is not None
         in_a, in_b = set_pair
         adapter = cfg.adapter
     else:
         in_a, in_b = raw_pair
         adapter = "raw"
-    sketch_a = _build_sketch(algo, memory_bytes, rows, seed, cfg)
-    sketch_b = _build_sketch(algo, memory_bytes, rows, seed, cfg)
+    sketch_a = _build_sketch(algo, memory_bytes, rows, seed)
+    sketch_b = _build_sketch(algo, memory_bytes, rows, seed)
     t0 = time.perf_counter()
     sketch_a.insert_many(in_a)
     sketch_b.insert_many(in_b)
@@ -376,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
     contention. The output files are closed however the sweep ends.
     """
     results: List[RunResult] = []
-    needs_sets = any(a in _SET_SIZE_FIELDS for a in cfg.algos)
+    needs_sets = any(a in _SET_ALGOS for a in cfg.algos)
     # The exact expansion of a file pair is the same for every seed; the
     # cm adapter's params derive from the seed.
     shared_sets = cfg.from_files and cfg.adapter == "exact"

@@ -14,8 +14,9 @@ only alter which logical counter a position resolves to. Extents obey the
 buddy discipline (power-of-two byte lengths, start aligned to length,
 tiling the row), so the extents of any two layouts nest. Two sketches
 that merged differently are therefore compared in the layout given by
-the positionwise maximum of their level maps, where each row's counters
-are sums over its own extent starts.
+the positionwise maximum of their level maps. Bytes that are not an
+extent start hold 0 in both fields, so in any layout no finer than a
+row's own, a counter is the plain sum of its block's bytes.
 
 The sketch shares its params, hashing, entry points and compatibility
 checks with the grid sketches of :mod:`sketchsim.sketches`, and scores
@@ -24,22 +25,14 @@ the row storage and its growth are its own.
 
 A batch insert hashes through the grids' chunked pass,
 :meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
-positions and sign bits. The row resolves every arrival to its extent
-and counts the arrivals and +1 signs per extent. An extent whose worst
-case over the chunk fits its level (``cm + n`` for the unsigned field,
-``c`` moved by every sign for the signed one) cannot grow. A growth
-coalesces the parent block and may go on up, so each extent that can
-grow marks a risk region: its parent block, widened while the block's
-worst case passes its level's cap. Extents outside every risk region
-take their counts in one step. Only the arrivals inside risk regions
-are walked in order, in windows of ``INSERT_CHUNK``: per-extent running
-sums give each counter's value after each arrival; in each region,
-everything before the first arrival that would leave its counter's
-range is applied at once, that arrival goes through the scalar
-:meth:`SalsaRow.add`, the only growth path, and the region's later
-arrivals carry into the next window. Regions are disjoint and hold
-every growth of the chunk, so one window takes a growth in each, and
-the result equals feeding every arrival through ``add`` in order.
+positions and sign bits. A counter always holds its block's value from
+before the chunk plus every arrival into the block since, and that
+fixes when each block forms: at the first arrival that takes one of its
+already formed halves past the cap of the halves' level. The row finds
+those times by running sums over the arrivals of the extents that can
+grow, then adds each extent's arrival count and sign sum and collapses
+the formed blocks. The result equals feeding each arrival through the
+scalar :meth:`SalsaRow.add`, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -64,9 +57,6 @@ from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 # not a whole byte count.
 SLOT_BITS = 18
 
-# Arrivals per in-order window of a batch insert.
-INSERT_CHUNK = 1024
-
 # Counter caps by level: a level-g counter has 2**g bytes per field, and
 # the signed range is symmetric. Caps above level 2 pass int64; they are
 # clamped, which changes no decision, because no counter can exceed the
@@ -75,13 +65,17 @@ _CM_CAPS = np.array([255, (1 << 16) - 1, (1 << 32) - 1, (1 << 62) - 1], dtype=np
 _C_CAPS = np.array([127, (1 << 15) - 1, (1 << 31) - 1, (1 << 61) - 1], dtype=np.int64)
 
 
-def _covered(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
-    """Length-``size`` mask, True on each ``[lo[i], hi[i])`` of disjoint
-    ranges."""
-    edge = np.zeros(size + 1, dtype=np.int64)
-    edge[lo] += 1
-    edge[hi] -= 1
-    return np.cumsum(edge[:-1]) > 0
+def _over(level, cm: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray) -> np.ndarray:
+    """Whether a counter at ``level`` whose cm reaches ``cm`` and whose
+    c spans ``[c_lo, c_hi]`` leaves its range."""
+    g = np.minimum(level, 3)
+    return (cm > _CM_CAPS[g]) | (c_hi > _C_CAPS[g]) | (c_lo < -_C_CAPS[g])
+
+
+def _starts(level: np.ndarray) -> np.ndarray:
+    """Start positions of the extents of the level map ``level``, ascending."""
+    pos = np.arange(len(level))
+    return pos[(pos & ((1 << level.astype(np.int64)) - 1)) == 0]
 
 
 def salsa_width(memory_bytes: int, rows: int) -> int:
@@ -103,8 +97,8 @@ class SalsaRow:
     """One ring of logical counters over ``width`` byte positions.
 
     ``level_of[p]`` is log2 of the byte length of the logical counter
-    containing position ``p``; counter values live at extent starts (the
-    arrays hold stale bytes elsewhere; the level map is authoritative).
+    containing position ``p``. A counter's values live at its extent's
+    start; every other byte holds 0 in both fields.
     """
 
     __slots__ = ("width", "level_of", "cm", "c")
@@ -127,12 +121,9 @@ class SalsaRow:
         starts = self.starts()
         return zip(starts.tolist(), (1 << self.level_of[starts].astype(np.int64)).tolist())
 
-    def starts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Start positions of the extents that begin in ``[lo, hi)``
-        (default: the whole row), ascending."""
-        hi = self.width if hi is None else hi
-        pos = np.arange(lo, hi)
-        return pos[(pos & ((1 << self.level_of[lo:hi].astype(np.int64)) - 1)) == 0]
+    def starts(self) -> np.ndarray:
+        """Start positions of the extents, ascending."""
+        return _starts(self.level_of)
 
     def dump(self) -> List[Tuple[int, int, int, int]]:
         """Debug view: (start, byte_len, cm, c) per logical counter."""
@@ -148,21 +139,23 @@ class SalsaRow:
         row.c = self.c.copy()
         return row
 
-    def coalesce(self, start: int, g: int) -> None:
-        """Make the g-aligned block at ``start`` one logical counter.
+    def _saturation_error(self) -> RowSaturatedError:
+        return RowSaturatedError(
+            f"counter spans the whole {self.width}-byte row and cannot grow"
+        )
 
-        Extents nest, so the block's counters are exactly the extents
-        that start inside it; their sums move to ``start``.
-        """
+    def coalesce(self, start: int, g: int) -> None:
+        """Make the g-aligned block at ``start`` one logical counter,
+        holding the sums of the block's bytes."""
         current = int(self.level_of[start])
         if current > g:
             raise ValueError(
                 f"block at {start} already part of a level-{current} counter"
             )
         end = start + (1 << g)
-        inner = self.starts(start, end)
-        self.cm[start] = self.cm[inner].sum()
-        self.c[start] = self.c[inner].sum()
+        for field in (self.cm, self.c):
+            field[start] = field[start:end].sum()
+            field[start + 1 : end] = 0
         self.level_of[start:end] = g
 
     def add(self, pos: int, d_cm: int, d_c: int) -> None:
@@ -175,9 +168,7 @@ class SalsaRow:
             or abs(int(self.c[start]) + d_c) > _C_CAPS[min(g, 3)]
         ):
             if (1 << g) == self.width:
-                raise RowSaturatedError(
-                    f"counter spans the whole {self.width}-byte row and cannot grow"
-                )
+                raise self._saturation_error()
             g += 1
             start &= ~((1 << g) - 1)
             self.coalesce(start, g)
@@ -192,198 +183,123 @@ class SalsaRow:
         :class:`RowSaturatedError` as ``add`` does, after applying the
         arrivals before the saturating one.
         """
-        if len(positions):
-            routed, shift = self._add_safe(positions, sign_bits)
-            if routed.size:
-                self._add_at_risk(routed, shift, positions, sign_bits)
-
-    def _sorted_keys(self, positions: np.ndarray, sign_bits: np.ndarray) -> Tuple[np.ndarray, int]:
-        """``(keys, shift)``: one key ``start << shift | index << 1 | bit``
-        per arrival, where ``start`` is its extent's start, sorted.
-
-        The sort groups arrivals by extent and keeps each group in
-        arrival order, as a stable sort by start would.
-        """
-        shift = len(positions).bit_length() + 1
+        m = len(positions)
+        # One key ``start << shift | index << 1 | bit`` per arrival, where
+        # ``start`` is its current extent's start: sorted, the keys group
+        # the arrivals by extent, each group in arrival order.
+        shift = m.bit_length() + 1
         key = np.left_shift(np.int64(-1), self.level_of[positions])
         key &= positions
         key <<= shift
-        low = np.arange(len(positions))
-        low <<= 1
-        low |= sign_bits
-        key |= low
+        key |= np.arange(m) << 1 | sign_bits
         key.sort()
-        return key, shift
-
-    @staticmethod
-    def _over(level, cm: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray) -> np.ndarray:
-        """Whether a counter at ``level`` whose cm reaches ``cm`` and whose
-        c spans ``[c_lo, c_hi]`` leaves its range."""
-        g = np.minimum(level, 3)
-        return (cm > _CM_CAPS[g]) | (c_hi > _C_CAPS[g]) | (c_lo < -_C_CAPS[g])
-
-    def _add_safe(self, positions: np.ndarray, sign_bits: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Add each safe extent's arrivals in one step; return the others
-        as sorted keys ``index << shift | region``, with ``shift``.
-
-        An extent is safe when its worst case over the chunk fits its
-        level and it lies in no risk region.
-        """
-        key, shift = self._sorted_keys(positions, sign_bits)
-        change = key[1:] ^ key[:-1]
-        change >>= shift
-        # Arrivals, and +1 signs, before each extent in sorted order.
-        cn = np.concatenate(([0], np.flatnonzero(change) + 1, [len(key)]))
-        del change
-        cp = np.concatenate(([0], np.cumsum(np.add.reduceat(key & 1, cn[:-1]))))
-        ext = key[cn[:-1]] >> shift
-        n, up = cn[1:] - cn[:-1], cp[1:] - cp[:-1]
-        lo, hi = self._risk_regions(ext, n, up, cn, cp)
-        # Region i holds the extents ext[first[i]:last[i]].
-        first, last = np.searchsorted(ext, lo), np.searchsorted(ext, hi)
-        inside = _covered(first, last, len(ext))
-        safe = ~inside
-        self.cm[ext[safe]] += n[safe]
-        self.c[ext[safe]] += 2 * up[safe] - n[safe]
-        if not lo.size:
-            return lo, 0
-        # Free the chunk-long keys before keying the routed arrivals.
-        routed = key[np.repeat(inside, n)]
-        del key
-        routed >>= 1
-        routed &= (1 << (shift - 1)) - 1
-        shift = len(lo).bit_length()
-        routed <<= shift
-        routed |= np.repeat(np.arange(len(lo)), cn[last] - cn[first])
-        routed.sort()
-        return routed, shift
-
-    def _risk_regions(
-        self, ext: np.ndarray, n: np.ndarray, up: np.ndarray, cn: np.ndarray, cp: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted, disjoint ``[lo, hi)`` blocks that hold every growth the
-        chunk can start, given its extents ``ext``, their counts ``n`` of
-        arrivals and ``up`` of +1 signs, and the prefix sums ``cn`` and
-        ``cp`` of those counts.
-
-        An extent can grow when its worst case fits no longer: ``cm + n``
-        for the unsigned field, ``c`` moved by every sign for the signed
-        one. A growth coalesces the parent block, and goes on up while
-        the block's value leaves its level's range. So each such
-        extent's block is widened from its parent until the block's
-        worst case, its counters plus the chunk's arrivals into it, fits
-        its level.
-        """
+        head = np.flatnonzero(np.diff(key >> shift, prepend=-1))
+        ext = key[head] >> shift
+        bit = key & 1
+        n, up = np.diff(head, append=m), np.add.reduceat(bit, head)
         level, c = self.level_of[ext], self.c[ext]
-        grows = self._over(level, self.cm[ext] + n, c + up, c - (n - up))
-        top = self.width.bit_length() - 1
-        # Each growing extent's block starts as its parent.
-        growing, parent = ext[grows], np.minimum(level[grows] + 1, top)
-        pending = np.empty(0, dtype=np.int64)
-        if not growing.size:
-            return pending, pending
-        found = [pending, pending]
-        last = int(parent.max())
-        for g in range(int(parent.min()), top + 1):
-            if g > last and not pending.size:
-                break
-            pending = np.concatenate((pending, growing[parent == g])) & -(1 << g)
-            over = self._block_over(pending, g, ext, cn, cp) if g < top else pending < 0
-            found += [pending[~over], pending[~over] + (1 << g)]
-            pending = pending[over]
-        lo, hi = np.concatenate(found[0::2]), np.concatenate(found[1::2])
-        # Blocks nest, repeat or are disjoint: keep each block that no
-        # earlier one holds.
-        order = np.lexsort((-hi, lo))
-        lo, hi = lo[order], hi[order]
-        keep = np.ones(len(lo), dtype=bool)
-        keep[1:] = hi[1:] > np.maximum.accumulate(hi)[:-1]
-        return lo[keep], hi[keep]
+        risky = _over(level, self.cm[ext] + n, c + up, c - (n - up))
+        formed, saturated_at = self._growths(key, shift, ext[risky], level[risky])
+        if saturated_at < m:
+            # As in ``add``, only the arrivals before the saturating one count.
+            live = ((key >> 1) & ((1 << (shift - 1)) - 1)) < saturated_at
+            bit &= live
+            n, up = np.add.reduceat(live, head, dtype=np.int64), np.add.reduceat(bit, head)
+        self.cm[ext] += n
+        self.c[ext] += 2 * up - n
+        for g, starts, times in formed:
+            self._collapse(starts[times <= saturated_at], g)
+        if saturated_at < m:
+            raise self._saturation_error()
 
-    def _block_over(
-        self, blocks: np.ndarray, g: int, ext: np.ndarray, cn: np.ndarray, cp: np.ndarray
-    ) -> np.ndarray:
-        """Whether each level-``g`` block, as one counter, can leave its
-        range: its extents' values plus the chunk's arrivals into it."""
-        size = 1 << g
-        pos = (blocks[:, None] + np.arange(size)).ravel()
-        own = (pos & ((1 << self.level_of[pos].astype(np.int64)) - 1)) == 0
-        cm = np.where(own, self.cm[pos], 0).reshape(-1, size).sum(axis=1)
-        c = np.where(own, self.c[pos], 0).reshape(-1, size).sum(axis=1)
-        i, j = np.searchsorted(ext, blocks), np.searchsorted(ext, blocks + size)
-        n, up = cn[j] - cn[i], cp[j] - cp[i]
-        return self._over(g, cm + n, c + up, c - (n - up))
+    def _growths(
+        self, key: np.ndarray, shift: int, ext: np.ndarray, level: np.ndarray
+    ) -> Tuple[List[Tuple[int, np.ndarray, np.ndarray]], int]:
+        """The blocks a chunk forms, as ``(g, starts, times)`` by rising
+        level ``g``, and the index of the arrival that saturates the row,
+        or the chunk's length.
 
-    def _add_at_risk(
-        self, routed: np.ndarray, shift: int, positions: np.ndarray, sign_bits: np.ndarray
-    ) -> None:
-        """Apply the arrivals ``routed`` (keys ``index << shift | region``)
-        in order, in windows of ``INSERT_CHUNK``; the arrivals a window
-        defers lead the next."""
-        carry = np.empty(0, dtype=np.int64)
-        lo = 0
-        while lo < len(routed) or carry.size:
-            hi = min(len(routed), lo + INSERT_CHUNK - carry.size)
-            slots = np.concatenate((carry, np.arange(lo, hi)))
-            lo = hi
-            index, region = routed[slots] >> shift, routed[slots] & ((1 << shift) - 1)
-            deferred = self._window(positions[index], sign_bits[index], region, 1 << shift)
-            carry = slots[deferred]
-
-    def _window(
-        self, positions: np.ndarray, sign_bits: np.ndarray, region: np.ndarray, n_regions: int
-    ) -> np.ndarray:
-        """One vector step over a window of in-order arrivals; returns
-        the mask of the arrivals it defers.
-
-        Per-extent running sums give the value each counter would hold
-        after each arrival. In each region, everything before the first
-        arrival that would leave its counter's range is applied at once;
-        that arrival goes through ``add``, and the region's later
-        arrivals are deferred. Regions are disjoint and hold every
-        growth, so they do not interact.
+        ``key`` holds the chunk's sorted arrival keys, and ``ext`` the
+        starts of the extents, at levels ``level``, that can grow. A
+        block may be listed after a larger one that holds it formed;
+        collapsing by rising level makes that harmless.
         """
-        key, shift = self._sorted_keys(positions, sign_bits)
-        starts = key >> shift
-        order = (key >> 1) & ((1 << (shift - 1)) - 1)
-        sign = 2 * (key & 1) - 1
-        m = len(key)
-        step = np.arange(m)
-        first = np.empty(m, dtype=bool)
-        first[0] = True
-        np.not_equal(starts[1:], starts[:-1], out=first[1:])
-        head = np.maximum.accumulate(np.where(first, step, 0))
-        s_cm = self.cm[starts] + (step - head + 1)
-        csum = np.cumsum(sign)
-        s_c = self.c[starts] + csum - (csum[head] - sign[head])
-        over = self._over(self.level_of[starts], s_cm, s_c, s_c)
-        cut = np.full(n_regions, m)
-        np.minimum.at(cut, region[order[over]], order[over])
-        cut = cut[region]
-        # Each extent takes the running value of its last arrival before
-        # its region's cut; within an extent those arrivals form a prefix.
-        kept = order < cut[order]
-        last = kept.copy()
-        last[:-1] &= ~(kept[1:] & ~first[1:])
-        self.cm[starts[last]] = s_cm[last]
-        self.c[starts[last]] = s_c[last]
-        for i in np.flatnonzero(step == cut).tolist():
-            self.add(int(positions[i]), 1, 2 * int(sign_bits[i]) - 1)
-        return step > cut
+        m, top = len(key), self.width.bit_length() - 1
+        formed: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        starts = np.empty(0, dtype=np.int64)
+        for g in range(int(level.min(initial=top + 1)), top + 1):
+            starts = np.concatenate((starts, ext[level == g]))
+            if not starts.size and g >= level.max():
+                break
+            # The sorted keys of each block's arrivals are one run. A block
+            # whose worst case fits its level cannot form its parent.
+            lo = np.searchsorted(key, starts << shift)
+            count = np.searchsorted(key, (starts + (1 << g)) << shift) - lo
+            pos = starts[:, None] + np.arange(1 << g)
+            cm, c = self.cm[pos].sum(axis=1), self.c[pos].sum(axis=1)
+            reach = np.abs(c) + count
+            can = _over(g, cm + count, reach, -reach)
+            starts, lo, count, cm, c = (x[can] for x in (starts, lo, count, cm, c))
+            block = np.repeat(np.arange(starts.size), count)
+            arrivals = key[np.arange(block.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+            arrivals &= (1 << shift) - 1
+            arrivals |= block << shift
+            arrivals.sort()
+            first = self._first_overflows(arrivals, shift, cm, c, g)
+            if g == top:
+                return formed, int(first.min(initial=m))
+            hit = first < m
+            # Each parent forms at the earlier of its halves' overflows.
+            parents, first = starts[hit] & -(2 << g), first[hit]
+            order = np.lexsort((first, parents))
+            keep = np.diff(parents[order], prepend=-1) != 0
+            starts = parents[order][keep]
+            formed.append((g + 1, starts, first[order][keep]))
+        return formed, m
+
+    def _first_overflows(
+        self, arrivals: np.ndarray, shift: int, cm0: np.ndarray, c0: np.ndarray, g: int
+    ) -> np.ndarray:
+        """Per level-``g`` block, worth ``cm0`` and ``c0`` before the
+        chunk, the index of the first arrival that takes it past its cap,
+        or the int64 maximum.
+
+        ``arrivals`` are the sorted keys ``block << shift | index << 1 |
+        bit`` of every arrival into the blocks. Before a block forms, its
+        value is at most twice its halves' cap, below its own, so its
+        first overflow comes at or after it formed.
+        """
+        block = arrivals >> shift
+        index = (arrivals >> 1) & ((1 << (shift - 1)) - 1)
+        sign = 2 * (arrivals & 1) - 1
+        head = np.searchsorted(block, np.arange(cm0.size))
+        cm = cm0[block] + np.arange(1, block.size + 1) - head[block]
+        run = np.concatenate(([0], np.cumsum(sign)))
+        c = c0[block] + run[1:] - run[head][block]
+        hit = np.flatnonzero(_over(g, cm, c, c))
+        at = block[hit]
+        first = np.diff(at, prepend=-1) != 0
+        out = np.full(cm0.size, np.iinfo(np.int64).max)
+        out[at[first]] = index[hit[first]]
+        return out
+
+    def _collapse(self, starts: np.ndarray, g: int) -> None:
+        """Make each level-``g`` block at ``starts`` one logical counter."""
+        pos = starts[:, None] + np.arange(1 << g)
+        for field in (self.cm, self.c):
+            sums = field[pos].sum(axis=1)
+            field[pos] = 0
+            field[starts] = sums
+        self.level_of[pos] = g
 
     def coarsened(self, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, cm, c) of this row's counters summed into the layout
         ``level``, a level map no finer than this row's anywhere.
 
-        Extents nest, so each coarser extent holds a run of this row's
-        extents, and its value is the sum over their starts.
+        Extents nest, so each coarser counter is the sum of its bytes.
         """
-        own = self.starts()
-        outer_level = level[own].astype(np.int64)
-        outer = (own >> outer_level) << outer_level
-        first = np.flatnonzero(np.diff(outer, prepend=-1))
-        cm, c = (np.add.reduceat(field[own], first) for field in (self.cm, self.c))
-        return outer[first], cm, c
+        starts = _starts(level)
+        return starts, np.add.reduceat(self.cm, starts), np.add.reduceat(self.c, starts)
 
     def align(self, other: "SalsaRow") -> None:
         """Give both rows their finest common coarsening, the positionwise
@@ -391,15 +307,16 @@ class SalsaRow:
         level = np.maximum(self.level_of, other.level_of)
         for row in (self, other):
             starts, cm, c = row.coarsened(level)
-            row.cm[starts] = cm
-            row.c[starts] = c
+            for field, sums in ((row.cm, cm), (row.c, c)):
+                field.fill(0)
+                field[starts] = sums
             row.level_of[:] = level
 
     def total_cm(self) -> int:
-        return int(self.cm[self.starts()].sum())
+        return int(self.cm.sum())
 
     def total_c(self) -> int:
-        return int(self.c[self.starts()].sum())
+        return int(self.c.sum())
 
 
 class SalsaSimilaritySketch(_CounterSketch):

@@ -369,18 +369,11 @@ class TestRunExperiment:
 
 
 class TestBuildSketch:
-    @pytest.mark.parametrize(
-        "overrides,sizes",
-        [
-            ({}, (128, 128, 128, 10)),
-            (dict(minhash_k=16, maxloghash_k=24, dothash_d=32, hll_m_bits=6), (16, 24, 32, 6)),
-        ],
-    )
-    def test_set_sizes_from_budget_or_override(self, overrides, sizes):
-        cfg = small_config(**overrides)
+    def test_set_sizes_from_budget(self):
+        sizes = (128, 128, 128, 10)
         size_attrs = ((Algo.MINHASH, "k"), (Algo.MAXLOGHASH, "k"), (Algo.DOTHASH, "d"), (Algo.HLL, "m_bits"))
         for (algo, attr), size in zip(size_attrs, sizes):
-            sketch = harness._build_sketch(algo, 1024, 1, 3, cfg)
+            sketch = harness._build_sketch(algo, 1024, 1, 3)
             assert (getattr(sketch, attr), sketch.master_seed) == (size, 3)
 
 

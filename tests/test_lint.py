@@ -1,6 +1,8 @@
 """Static checks over the package and its tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +50,32 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def defined_names(path: Path):
+    """Each top-level function, class and constant of a module, and each
+    method name of its classes, once per definition."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_no_dead_names():
+    # A name's definitions are occurrences too, so a live name occurs
+    # more often than it is defined.
+    defined = Counter(name for path in ROOT.glob("src/sketchsim/*.py") for name in defined_names(path))
+    words = Counter(
+        word
+        for folder in ("src", "tests", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    dead = sorted(name for name, count in defined.items() if words[name] <= count)
+    assert not dead, "names defined but never used: " + ", ".join(dead)
