@@ -224,7 +224,7 @@ class MinHashSketch(_SetSketch):
         if self.is_empty() or other.is_empty():
             raise EmptySketchError("minhash signature saw no items")
         matches = int(np.count_nonzero(self.mins == other.mins))
-        return clamped_estimate(matches / self.k, Algo.MINHASH)
+        return clamped_estimate(matches / self.k, self.ALGO)
 
 
 # -- HyperLogLog -------------------------------------------------------
@@ -316,7 +316,7 @@ class HllSketch(_SetSketch):
         card_b = other.cardinality().value
         card_union = self.union(other).cardinality().value
         raw = (card_a + card_b - card_union) / card_union
-        return clamped_estimate(raw, Algo.HLL)
+        return clamped_estimate(raw, self.ALGO)
 
 
 # -- MaxLogHash --------------------------------------------------------
@@ -372,7 +372,7 @@ class MaxLogHashSketch(_SetSketch):
         ).astype(np.int64)
         delta = np.where(differs, phi, 0)
         raw = 1.0 - float(delta.sum()) / (self.k * ALPHA_INF)
-        return clamped_estimate(raw, Algo.MAXLOGHASH)
+        return clamped_estimate(raw, self.ALGO)
 
 
 # -- DotHash -----------------------------------------------------------
@@ -423,4 +423,4 @@ class DotHashSketch(_SetSketch):
                 f"estimated union {denom} is not positive; d is too small "
                 f"for these set sizes"
             )
-        return clamped_estimate(inter / denom, Algo.DOTHASH)
+        return clamped_estimate(inter / denom, self.ALGO)

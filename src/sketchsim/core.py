@@ -112,19 +112,6 @@ class SketchParams:
         if self.memory_bytes < 1:
             raise ValueError(f"memory_bytes must be >= 1, got {self.memory_bytes}")
 
-    @classmethod
-    def derive(
-        cls, memory_bytes: int, rows: int, slot_bytes: int, master_seed: int
-    ) -> "SketchParams":
-        """Build params with the width derived from the byte budget."""
-        width = derive_width(memory_bytes, rows, slot_bytes)
-        return cls(
-            rows=rows,
-            width=width,
-            master_seed=master_seed,
-            memory_bytes=memory_bytes,
-        )
-
 
 @dataclass(frozen=True)
 class JaccardEstimate:

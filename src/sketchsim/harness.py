@@ -30,7 +30,7 @@ from sketchsim.baselines import (
     expand_cm_ids,
     expand_exact_ids,
 )
-from sketchsim.core import Algo, SketchError, SketchParams
+from sketchsim.core import Algo, SketchError, SketchParams, derive_width
 from sketchsim.datagen import ZipfSpec, random_split, split_seed, zipf_stream
 from sketchsim.oracle import multiset_jaccard
 from sketchsim.salsa import SalsaSimilaritySketch
@@ -52,18 +52,22 @@ class ZeroTruthError(SketchError):
 STREAM_FORMATS = ("text", "binary", "ipcsv")
 ADAPTERS = ("exact", "cm")
 
-_SKETCH_CLASSES = {
-    Algo.CM: CmSimilaritySketch,
-    Algo.COUNT: CountSimilaritySketch,
-    Algo.WEIGHTED: WeightedSimilaritySketch,
-    Algo.SALSA: SalsaSimilaritySketch,
-    Algo.MINHASH: MinHashSketch,
-    Algo.HLL: HllSketch,
-    Algo.MAXLOGHASH: MaxLogHashSketch,
-    Algo.DOTHASH: DotHashSketch,
-}
 # The set baselines, which see the adapter-expanded streams.
-_SET_ALGOS = {Algo.MINHASH, Algo.HLL, Algo.MAXLOGHASH, Algo.DOTHASH}
+_SET_SKETCHES = (MinHashSketch, HllSketch, MaxLogHashSketch, DotHashSketch)
+_SET_ALGOS = {cls.ALGO for cls in _SET_SKETCHES}
+_SKETCH_CLASSES = {
+    cls.ALGO: cls
+    for cls in (
+        CmSimilaritySketch,
+        CountSimilaritySketch,
+        WeightedSimilaritySketch,
+        SalsaSimilaritySketch,
+        *_SET_SKETCHES,
+    )
+}
+# The fixed count-min table of the cm adapter, outside every sketch's budget.
+ADAPTER_MEMORY_BYTES = 1 << 16
+ADAPTER_ROWS = 2
 
 
 # -- Ingestion ----------------------------------------------------------
@@ -208,8 +212,6 @@ class ExperimentConfig:
     stream_b: str | None = None
     stream_format: str = "binary"
     adapter: str = "exact"
-    adapter_memory_bytes: int = 1 << 16
-    adapter_rows: int = 2
     out_csv: str | None = None
     out_jsonl: str | None = None
 
@@ -285,8 +287,10 @@ def _build_sketch(algo: Algo, memory_bytes: int, rows: int, seed: int):
 def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
     if cfg.adapter == "exact":
         return expand_exact_ids(stream)
-    slot_bytes = CmSimilaritySketch.SLOT_BYTES
-    params = SketchParams.derive(cfg.adapter_memory_bytes, cfg.adapter_rows, slot_bytes, seed)
+    width = derive_width(ADAPTER_MEMORY_BYTES, ADAPTER_ROWS, CmSimilaritySketch.SLOT_BYTES)
+    params = SketchParams(
+        rows=ADAPTER_ROWS, width=width, master_seed=seed, memory_bytes=ADAPTER_MEMORY_BYTES
+    )
     return expand_cm_ids(stream, params)
 
 

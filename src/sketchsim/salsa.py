@@ -371,7 +371,7 @@ class SalsaSimilaritySketch(_CounterSketch):
             _, cm_b, c_b = row_b.coarsened(level)
             acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
         raw = acc / self.params.rows
-        return clamped_estimate(raw, Algo.SALSA)
+        return clamped_estimate(raw, self.ALGO)
 
     def dump(self) -> List[List[Tuple[int, int, int, int]]]:
         return [row.dump() for row in self.rows]

@@ -220,7 +220,7 @@ class CmSimilaritySketch(_GridSketch):
 
     def estimate_jaccard(self, other: "CmSimilaritySketch") -> JaccardEstimate:
         raw = float(self.row_ratios(other).min())
-        return clamped_estimate(raw, Algo.CM)
+        return clamped_estimate(raw, self.ALGO)
 
 
 class CountSimilaritySketch(_GridSketch):
@@ -237,10 +237,10 @@ class CountSimilaritySketch(_GridSketch):
         grid grows past the stream's support. That is inherent to the
         uniform average, not a bug.
         """
-        self._check_compatible(other)
+        self._check_estimable(other)
         ratios = sign_gated_ratios(self.counters, other.counters)
         raw = float(ratios.sum() / (self.params.rows * self.params.width))
-        return clamped_estimate(raw, Algo.COUNT)
+        return clamped_estimate(raw, self.ALGO)
 
 
 class WeightedSimilaritySketch(_GridSketch):
@@ -262,4 +262,4 @@ class WeightedSimilaritySketch(_GridSketch):
         for row in zip(self.cm_counters, other.cm_counters, self.c_counters, other.c_counters):
             acc += weighted_row_similarity(*row)
         raw = acc / self.params.rows
-        return clamped_estimate(raw, Algo.WEIGHTED)
+        return clamped_estimate(raw, self.ALGO)

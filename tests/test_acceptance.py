@@ -3,6 +3,10 @@
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 all) and asserts the same condition, so the suite is equally usable as a
 report and as a gate. Tolerances are pinned in the assertions.
+
+Tests 01, 03, 04, 05, 06, 08 and 10 report checks of
+:mod:`sketchsim.invariants`, which ``sketchsim selftest`` runs too, at
+the same sizes; their seeds and tolerances live there.
 """
 
 import time
@@ -11,18 +15,13 @@ import numpy as np
 import scipy.stats
 from conftest import find_seed
 
-from sketchsim.baselines import (
-    HllSketch,
-    MaxLogHashSketch,
-    MinHashSketch,
-    expand_exact_ids,
-)
-from sketchsim.core import Algo, SketchParams
-from sketchsim.datagen import ZipfSpec, random_split, zipf_stream
+from sketchsim import invariants
+from sketchsim.baselines import MaxLogHashSketch, MinHashSketch
+from sketchsim.core import Algo
+from sketchsim.datagen import ZipfSpec, zipf_stream
 from sketchsim.harness import ExperimentConfig, run_experiment, summarize
 from sketchsim.hashing import HashFamily
 from sketchsim.oracle import ExactMultiset
-from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
     CmSimilaritySketch,
     CountSimilaritySketch,
@@ -35,38 +34,8 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _zipf_pair(n_items, n_distinct, alpha, seed):
-    stream = zipf_stream(ZipfSpec(n_items, n_distinct, alpha, seed))
-    return random_split(stream, 0.5, seed + 1_000_003)
-
-
 def test_01_cm_estimate_never_below_truth():
-    rng = np.random.default_rng(2024)
-    start = time.perf_counter()
-    alphas = (0.3, 0.6, 1.0)
-    rows_choices = (1, 2, 4)
-    violations = 0
-    for trial in range(200):
-        alpha = alphas[trial % 3]
-        rows = rows_choices[(trial // 3) % 3]
-        n_items = int(rng.integers(10_000, 50_001))
-        n_distinct = int(rng.integers(500, 5_001))
-        width = int(rng.integers(8, 2049))
-        left, right = _zipf_pair(n_items, n_distinct, alpha, trial)
-        j_true = ExactMultiset.from_array(left).jaccard(ExactMultiset.from_array(right))
-        seed = int(rng.integers(1 << 30))
-        a = CmSimilaritySketch.from_budget(width * rows * 4, rows, seed)
-        b = CmSimilaritySketch.from_budget(width * rows * 4, rows, seed)
-        a.insert_many(left)
-        b.insert_many(right)
-        if a.estimate_jaccard(b).raw < j_true:
-            violations += 1
-    elapsed = time.perf_counter() - start
-    _report(
-        "01 cm-over-estimation",
-        violations == 0 and elapsed < 60,
-        f"{violations} violations in 200 trials, {elapsed:.1f}s",
-    )
+    _report("01 cm-over-estimation", *invariants.cm_over_estimation())
 
 
 def test_02_collision_free_estimates_are_exact():
@@ -116,121 +85,19 @@ def test_02_collision_free_estimates_are_exact():
 
 
 def test_03_multiset_algebra_identity():
-    rng = np.random.default_rng(11)
-    failures = 0
-    for _ in range(1000):
-        a = ExactMultiset.from_array(rng.integers(0, 60, size=400, dtype=np.uint64))
-        b = ExactMultiset.from_array(rng.integers(0, 60, size=300, dtype=np.uint64))
-        if len(a.intersect(b)) + len(a.union(b)) != len(a) + len(b):
-            failures += 1
-        elif a.jaccard(a) != 1.0 or a.jaccard(b) != b.jaccard(a):
-            failures += 1
-    _report("03 multiset-identity", failures == 0, f"{failures} failures in 1000 pairs")
+    _report("03 multiset-identity", *invariants.multiset_identity())
 
 
 def test_04_heavy_subset_drift_bound():
-    rng = np.random.default_rng(13)
-    alphas = (0.3, 0.6, 1.0)
-    worst_margin = -1.0
-    violations = 0
-    for trial in range(100):
-        left, right = _zipf_pair(
-            int(rng.integers(5_000, 30_000)),
-            int(rng.integers(300, 3_000)),
-            alphas[trial % 3],
-            10_000 + trial,
-        )
-        a, b = ExactMultiset.from_array(left), ExactMultiset.from_array(right)
-        j_full = a.jaccard(b)
-        for eps in (0.01, 0.05, 0.1):
-            drift = abs(j_full - a.epsilon_subset(eps).jaccard(b.epsilon_subset(eps)))
-            if drift >= 2 * eps:
-                violations += 1
-            worst_margin = max(worst_margin, drift / (2 * eps))
-    _report(
-        "04 epsilon-subset-drift",
-        violations == 0,
-        f"{violations} violations in 300 cases, worst drift/bound={worst_margin:.3f}",
-    )
+    _report("04 epsilon-subset-drift", *invariants.epsilon_drift_bound())
 
 
 def test_05_merge_matches_whole_stream_sketch():
-    rng = np.random.default_rng(17)
-    mismatches = 0
-    for cls in (CmSimilaritySketch, CountSimilaritySketch, WeightedSimilaritySketch):
-        for trial in range(50):
-            s1 = rng.integers(0, 2_000, size=4_000, dtype=np.uint64)
-            s2 = rng.integers(0, 2_000, size=3_000, dtype=np.uint64)
-            seed = int(rng.integers(1 << 30))
-            part_a = cls.from_budget(4096, 2, seed)
-            part_b = cls.from_budget(4096, 2, seed)
-            whole = cls.from_budget(4096, 2, seed)
-            part_a.insert_many(s1)
-            part_b.insert_many(s2)
-            whole.insert_many(np.concatenate([s1, s2]))
-            merged = part_a.merge(part_b)
-            for field in ("counters", "cm_counters", "c_counters"):
-                lhs = getattr(merged, field, None)
-                if lhs is not None and not (lhs == getattr(whole, field)).all():
-                    mismatches += 1
-                    break
-    _report(
-        "05 merge-linearity",
-        mismatches == 0,
-        f"{mismatches} mismatches across 150 merge trials",
-    )
+    _report("05 merge-linearity", *invariants.merge_linearity())
 
 
 def test_06_salsa_conservation_and_dense_twin():
-    conserved = True
-    for seed in range(3):
-        narrow = SalsaSimilaritySketch.from_budget(128, 2, seed)
-        stream = np.random.default_rng(seed).integers(
-            0, 5_000, size=100_000, dtype=np.uint64
-        )
-        narrow.insert_many(stream)
-        merged_levels = max(int(row.level_of.max()) for row in narrow.rows)
-        if merged_levels == 0:
-            conserved = False
-        for row in narrow.rows:
-            if row.total_cm() != len(stream):
-                conserved = False
-
-    worst_gap = 0.0
-    for seed in range(10):
-        rng = np.random.default_rng(100 + seed)
-        small = np.repeat(
-            rng.integers(0, 1 << 50, size=4_000, dtype=np.uint64),
-            rng.integers(1, 4, size=4_000),
-        )
-        other = np.repeat(
-            rng.integers(0, 1 << 50, size=4_000, dtype=np.uint64),
-            rng.integers(1, 4, size=4_000),
-        )
-        salsa_a = SalsaSimilaritySketch.from_budget(18_432, 2, seed)
-        salsa_b = SalsaSimilaritySketch.from_budget(18_432, 2, seed)
-        width = salsa_a.params.width
-        dense_params = SketchParams(
-            rows=2, width=width, master_seed=seed, memory_bytes=width * 2 * 8
-        )
-        dense_a = WeightedSimilaritySketch(dense_params)
-        dense_b = WeightedSimilaritySketch(dense_params)
-        salsa_a.insert_many(small)
-        dense_a.insert_many(small)
-        salsa_b.insert_many(other)
-        dense_b.insert_many(other)
-        assert all(int(r.level_of.max()) == 0 for r in salsa_a.rows + salsa_b.rows)
-        gap = abs(
-            salsa_a.estimate_jaccard(salsa_b).raw - dense_a.estimate_jaccard(dense_b).raw
-        )
-        worst_gap = max(worst_gap, gap)
-    ok = conserved and worst_gap <= 1e-12
-    _report(
-        "06 salsa-conservation-and-twin",
-        ok,
-        f"counter mass conserved under forced merges={conserved}, "
-        f"max no-overflow gap vs dense twin={worst_gap:.2e}",
-    )
+    _report("06 salsa-conservation-and-twin", *invariants.salsa_conservation_and_twin())
 
 
 def test_07_minhash_unbiased_at_half():
@@ -254,30 +121,7 @@ def test_07_minhash_unbiased_at_half():
 
 
 def test_08_hll_cardinality_and_union_law():
-    errors = []
-    union_law_holds = True
-    for seed in range(20):
-        base = np.arange(100_000, dtype=np.uint64) + np.uint64(seed) * np.uint64(1 << 40)
-        sketch = HllSketch(m_bits=11, n_bits=64, master_seed=seed)
-        sketch.insert_many(base)
-        est = sketch.cardinality()
-        errors.append(abs(est.value - 100_000) / 100_000)
-
-        half_a, half_b = base[:60_000], base[40_000:]
-        a = HllSketch(m_bits=11, n_bits=64, master_seed=seed)
-        b = HllSketch(m_bits=11, n_bits=64, master_seed=seed)
-        a.insert_many(half_a)
-        b.insert_many(half_b)
-        if not (a.union(b).registers == sketch.registers).all():
-            union_law_holds = False
-    mean_error = float(np.mean(errors))
-    ok = mean_error <= 0.05 and union_law_holds
-    _report(
-        "08 hll-accuracy-and-union",
-        ok,
-        f"mean |RE| over 20 seeds = {mean_error:.4f} (limit 0.05), "
-        f"register-max union exact={union_law_holds}",
-    )
+    _report("08 hll-accuracy-and-union", *invariants.hll_union_law())
 
 
 def test_09_maxloghash_tracks_truth():
@@ -303,22 +147,7 @@ def test_09_maxloghash_tracks_truth():
 
 
 def test_10_occurrence_expansion_preserves_similarity():
-    rng = np.random.default_rng(23)
-    failures = 0
-    for _ in range(100):
-        left = rng.integers(0, 80, size=int(rng.integers(100, 2_000)), dtype=np.uint64)
-        right = rng.integers(0, 80, size=int(rng.integers(100, 2_000)), dtype=np.uint64)
-        j_multi = ExactMultiset.from_array(left).jaccard(ExactMultiset.from_array(right))
-        j_set = ExactMultiset.from_array(expand_exact_ids(left)).jaccard(
-            ExactMultiset.from_array(expand_exact_ids(right))
-        )
-        if j_set != j_multi:
-            failures += 1
-    _report(
-        "10 adapter-bridge-identity",
-        failures == 0,
-        f"{failures} mismatches in 200 expanded streams",
-    )
+    _report("10 adapter-bridge-identity", *invariants.adapter_bridge())
 
 
 def test_11_memory_sweep_trends():

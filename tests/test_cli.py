@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sketchsim import invariants
 from sketchsim.cli import main
 from sketchsim.core import Algo
 from sketchsim.harness import CSV_HEADER, ExperimentConfig, _datasets, read_stream
@@ -143,13 +144,36 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 2 * 2
 
 
+SELFTEST_NAMES = [
+    "width-derivation",
+    "multiset-identity",
+    "epsilon-drift-bound",
+    "cm-over-estimation",
+    "merge-linearity",
+    "salsa-conservation-and-twin",
+    "adapter-bridge",
+    "hll-union-law",
+    "minhash-identity",
+    "unit-hash-range",
+]
+
+
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
         rc = main(["selftest"])
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") == 10
+        assert lines == [f"PASS {name}" for name in SELFTEST_NAMES] + ["10/10 checks passed"]
+
+    def test_a_failing_check_is_reported(self, monkeypatch, capsys):
+        for name in SELFTEST_NAMES:
+            monkeypatch.setitem(invariants.CHECKS, name, lambda: (True, "stubbed"))
+        monkeypatch.setitem(invariants.CHECKS, "merge-linearity", lambda: (False, "3 mismatches"))
+        rc = main(["selftest"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines[4] == "FAIL merge-linearity: 3 mismatches"
+        assert lines[-1] == "9/10 checks passed"
 
 
 class TestErrors:

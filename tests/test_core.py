@@ -67,13 +67,6 @@ class TestDeriveWidth:
 
 
 class TestSketchParams:
-    def test_derive_populates_width(self):
-        p = SketchParams.derive(memory_bytes=10240, rows=2, slot_bytes=4, master_seed=7)
-        assert p.rows == 2
-        assert p.width == 1280
-        assert p.master_seed == 7
-        assert p.memory_bytes == 10240
-
     def test_frozen(self):
         p = SketchParams(rows=1, width=4, master_seed=0, memory_bytes=16)
         with pytest.raises(AttributeError):

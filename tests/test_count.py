@@ -6,6 +6,7 @@ from sketchsim.core import (
     CounterOverflowError,
     IncompatibleSketchError,
     SketchParams,
+    UndefinedSimilarityError,
 )
 from sketchsim.sketches import CountSimilaritySketch
 
@@ -121,9 +122,10 @@ class TestEstimate:
         b.insert_many(sb)
         assert a.estimate_jaccard(b).raw == b.estimate_jaccard(a).raw
 
-    def test_empty_sketches_estimate_zero(self):
+    def test_empty_sketches_are_undefined(self):
         a, b = sketch(seed=1), sketch(seed=1)
-        assert a.estimate_jaccard(b).raw == 0.0
+        with pytest.raises(UndefinedSimilarityError):
+            a.estimate_jaccard(b)
 
     def test_widening_the_grid_dilutes_the_estimate(self):
         # Same stream, injective in both grids: the ratio sum is fixed

@@ -52,18 +52,24 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def statement_names(node: ast.stmt):
+    """The names a def, class or plain assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def defined_names(path: Path):
     """Each top-level function, class and constant of a module, and each
-    method name of its classes, once per definition."""
+    method and class-level assignment of its classes, once per definition."""
     names = []
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        names += statement_names(node)
         if isinstance(node, ast.ClassDef):
-            names += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+            names += [name for n in node.body for name in statement_names(n)]
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
