@@ -5,7 +5,6 @@ from sketchsim.core import (
     BudgetTooSmallError,
     CounterOverflowError,
     DegenerateEstimateError,
-    EmptySketchError,
     IncompatibleSketchError,
     ItemId,
     JaccardEstimate,
@@ -59,7 +58,6 @@ __all__ = [
     "CounterOverflowError",
     "DegenerateEstimateError",
     "DotHashSketch",
-    "EmptySketchError",
     "ExactMultiset",
     "ExperimentConfig",
     "HashFamily",

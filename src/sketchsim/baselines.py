@@ -20,8 +20,7 @@ The baselines share the counter sketches' base, ``sketches._Sketch``:
 seed and hash family, ``total_inserted``, single-item ``insert``,
 ``is_empty``, and the checks before a comparison, which raise
 ``IncompatibleSketchError`` across types, sizes or seeds and
-``UndefinedSimilarityError`` for two empty sketches (MinHash raises
-``EmptySketchError`` if either side is empty). ``from_budget`` ignores
+``UndefinedSimilarityError`` for two empty sketches. ``from_budget`` ignores
 ``rows`` and gives MinHash and MaxLogHash ``k = max(1, memory_bytes //
 8)`` registers, DotHash as many coordinates, and HLL ``m_bits``, the
 largest m with 2**m <= memory_bytes, clamped to [4, 26].
@@ -37,7 +36,6 @@ import numpy as np
 from sketchsim.core import (
     Algo,
     DegenerateEstimateError,
-    EmptySketchError,
     ItemId,
     JaccardEstimate,
     SketchParams,
@@ -220,9 +218,7 @@ class MinHashSketch(_SetSketch):
 
     def estimate_jaccard(self, other: "MinHashSketch") -> JaccardEstimate:
         """Fraction of rows whose minima coincide; unbiased for set J."""
-        self._check_compatible(other)
-        if self.is_empty() or other.is_empty():
-            raise EmptySketchError("minhash signature saw no items")
+        self._check_estimable(other)
         matches = int(np.count_nonzero(self.mins == other.mins))
         return clamped_estimate(matches / self.k, self.ALGO)
 
@@ -251,22 +247,16 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
 
 
 class HllSketch(_SetSketch):
-    """2^M max-rank registers over an N-bit hash."""
+    """2^M max-rank registers over a 64-bit hash."""
 
     ALGO = Algo.HLL
-    DEFAULT_N = 64
     DEFAULT_M = 11
 
-    def __init__(
-        self, m_bits: int = DEFAULT_M, n_bits: int = DEFAULT_N, master_seed: int = 0
-    ) -> None:
-        if not 1 <= m_bits < n_bits:
-            raise ValueError(f"need 1 <= m_bits < n_bits, got ({m_bits}, {n_bits})")
-        if n_bits > 64:
-            raise ValueError(f"n_bits must be <= 64, got {n_bits}")
-        super().__init__(dict(m_bits=m_bits, n_bits=n_bits, master_seed=master_seed), master_seed, 1)
+    def __init__(self, m_bits: int = DEFAULT_M, master_seed: int = 0) -> None:
+        if not 1 <= m_bits < 64:
+            raise ValueError(f"need 1 <= m_bits < 64, got {m_bits}")
+        super().__init__(dict(m_bits=m_bits, master_seed=master_seed), master_seed, 1)
         self.m_bits = m_bits
-        self.n_bits = n_bits
         self.n_registers = 1 << m_bits
         self.registers = np.zeros(self.n_registers, dtype=np.uint8)
 
@@ -282,8 +272,8 @@ class HllSketch(_SetSketch):
         items = np.ascontiguousarray(items, dtype=np.uint64)
         if items.size == 0:
             return
-        h = self.hash.bit_hash_many(items, self.n_bits)
-        value_bits = self.n_bits - self.m_bits
+        h = self.hash.bit_hash_many(items, 64)
+        value_bits = 64 - self.m_bits
         buckets = (h >> np.uint64(value_bits)).astype(np.int64)
         h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
         rho = value_bits - _bit_length(h) + 1
@@ -293,7 +283,7 @@ class HllSketch(_SetSketch):
     def union(self, other: "HllSketch") -> "HllSketch":
         """Register-wise maximum: exactly the sketch of the union stream."""
         self._check_compatible(other)
-        merged = HllSketch(self.m_bits, self.n_bits, self.master_seed)
+        merged = HllSketch(self.m_bits, self.master_seed)
         merged.registers = np.maximum(self.registers, other.registers)
         merged.total_inserted = self.total_inserted + other.total_inserted
         return merged

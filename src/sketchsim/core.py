@@ -41,10 +41,6 @@ class RowSaturatedError(SketchError):
     """A ring counter already spans the whole row and still cannot grow."""
 
 
-class EmptySketchError(SketchError):
-    """A signature that never saw an item cannot take part in an estimate."""
-
-
 class DegenerateEstimateError(SketchError):
     """Estimator inputs leave the formula without a usable denominator."""
 
@@ -102,15 +98,12 @@ class SketchParams:
     rows: int
     width: int
     master_seed: int
-    memory_bytes: int
 
     def __post_init__(self) -> None:
         if self.rows < 1:
             raise ValueError(f"rows must be >= 1, got {self.rows}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.memory_bytes < 1:
-            raise ValueError(f"memory_bytes must be >= 1, got {self.memory_bytes}")
 
 
 @dataclass(frozen=True)

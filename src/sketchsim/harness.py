@@ -288,10 +288,7 @@ def _expand(stream: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
     if cfg.adapter == "exact":
         return expand_exact_ids(stream)
     width = derive_width(ADAPTER_MEMORY_BYTES, ADAPTER_ROWS, CmSimilaritySketch.SLOT_BYTES)
-    params = SketchParams(
-        rows=ADAPTER_ROWS, width=width, master_seed=seed, memory_bytes=ADAPTER_MEMORY_BYTES
-    )
-    return expand_cm_ids(stream, params)
+    return expand_cm_ids(stream, SketchParams(rows=ADAPTER_ROWS, width=width, master_seed=seed))
 
 
 def _run_cell(

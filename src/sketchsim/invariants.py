@@ -167,9 +167,7 @@ def salsa_conservation_and_twin() -> CheckResult:
         salsa_a = SalsaSimilaritySketch.from_budget(18_432, 2, seed)
         salsa_b = SalsaSimilaritySketch.from_budget(18_432, 2, seed)
         width = salsa_a.params.width
-        dense_params = SketchParams(
-            rows=2, width=width, master_seed=seed, memory_bytes=width * 2 * 8
-        )
+        dense_params = SketchParams(rows=2, width=width, master_seed=seed)
         dense_a = WeightedSimilaritySketch(dense_params)
         dense_b = WeightedSimilaritySketch(dense_params)
         salsa_a.insert_many(small)
@@ -213,14 +211,14 @@ def hll_union_law() -> CheckResult:
     union_law_holds = True
     for seed in range(20):
         base = np.arange(100_000, dtype=np.uint64) + np.uint64(seed) * np.uint64(1 << 40)
-        sketch = HllSketch(m_bits=11, n_bits=64, master_seed=seed)
+        sketch = HllSketch(m_bits=11, master_seed=seed)
         sketch.insert_many(base)
         est = sketch.cardinality()
         errors.append(abs(est.value - 100_000) / 100_000)
 
         half_a, half_b = base[:60_000], base[40_000:]
-        a = HllSketch(m_bits=11, n_bits=64, master_seed=seed)
-        b = HllSketch(m_bits=11, n_bits=64, master_seed=seed)
+        a = HllSketch(m_bits=11, master_seed=seed)
+        b = HllSketch(m_bits=11, master_seed=seed)
         a.insert_many(half_a)
         b.insert_many(half_b)
         if not (a.union(b).registers == sketch.registers).all():

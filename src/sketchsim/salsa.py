@@ -26,13 +26,14 @@ the row storage and its growth are its own.
 A batch insert hashes through the grids' chunked pass,
 :meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
 positions and sign bits. A counter always holds its block's value from
-before the chunk plus every arrival into the block since, and that
-fixes when each block forms: at the first arrival that takes one of its
-already formed halves past the cap of the halves' level. The row finds
-those times by running sums over the arrivals of the extents that can
-grow, then adds each extent's arrival count and sign sum and collapses
-the formed blocks. The result equals feeding each arrival through the
-scalar :meth:`SalsaRow.add`, which the tests keep as the reference.
+before the chunk plus every arrival into the block since. Before a block
+forms, that value is at most twice its halves' cap, below its own, so a
+block forms its parent exactly when the value passes its cap anywhere in
+the chunk. The row decides every growth so before it writes, then adds
+each extent's arrival count and sign sum and coalesces the formed
+blocks. That equals the scalar :meth:`SalsaRow.add` per arrival, which
+the tests keep as the reference, except that a chunk that saturates the
+row raises :class:`RowSaturatedError` with the row unchanged.
 """
 
 from __future__ import annotations
@@ -125,13 +126,6 @@ class SalsaRow:
         """Start positions of the extents, ascending."""
         return _starts(self.level_of)
 
-    def dump(self) -> List[Tuple[int, int, int, int]]:
-        """Debug view: (start, byte_len, cm, c) per logical counter."""
-        return [
-            (start, blen, int(self.cm[start]), int(self.c[start]))
-            for start, blen in self.extents()
-        ]
-
     def copy(self) -> "SalsaRow":
         row = SalsaRow(self.width)
         row.level_of = self.level_of.copy()
@@ -144,19 +138,22 @@ class SalsaRow:
             f"counter spans the whole {self.width}-byte row and cannot grow"
         )
 
-    def coalesce(self, start: int, g: int) -> None:
-        """Make the g-aligned block at ``start`` one logical counter,
-        holding the sums of the block's bytes."""
-        current = int(self.level_of[start])
-        if current > g:
+    def coalesce(self, starts, g: int) -> None:
+        """Make each g-aligned block at ``starts``, one start or an array
+        of them, one logical counter holding the sums of the block's bytes."""
+        starts = np.atleast_1d(starts)
+        inside = self.level_of[starts] > g
+        if inside.any():
+            start = starts[inside][0]
             raise ValueError(
-                f"block at {start} already part of a level-{current} counter"
+                f"block at {start} already part of a level-{self.level_of[start]} counter"
             )
-        end = start + (1 << g)
+        pos = starts[:, None] + np.arange(1 << g)
         for field in (self.cm, self.c):
-            field[start] = field[start:end].sum()
-            field[start + 1 : end] = 0
-        self.level_of[start:end] = g
+            sums = field[pos].sum(axis=1)
+            field[pos] = 0
+            field[starts] = sums
+        self.level_of[pos] = g
 
     def add(self, pos: int, d_cm: int, d_c: int) -> None:
         """Apply one update at a hashed byte position; a counter whose
@@ -180,8 +177,8 @@ class SalsaRow:
 
         ``positions`` and ``sign_bits`` are int64 arrays as long as a
         hash chunk at most; a sign bit is 1 for +1 and 0 for -1. Raises
-        :class:`RowSaturatedError` as ``add`` does, after applying the
-        arrivals before the saturating one.
+        :class:`RowSaturatedError` where ``add`` would, with the row
+        unchanged: the chunk is applied whole or not at all.
         """
         m = len(positions)
         # One key ``start << shift | index << 1 | bit`` per arrival, where
@@ -195,37 +192,30 @@ class SalsaRow:
         key.sort()
         head = np.flatnonzero(np.diff(key >> shift, prepend=-1))
         ext = key[head] >> shift
-        bit = key & 1
-        n, up = np.diff(head, append=m), np.add.reduceat(bit, head)
+        n, up = np.diff(head, append=m), np.add.reduceat(key & 1, head)
         level, c = self.level_of[ext], self.c[ext]
         risky = _over(level, self.cm[ext] + n, c + up, c - (n - up))
-        formed, saturated_at = self._growths(key, shift, ext[risky], level[risky])
-        if saturated_at < m:
-            # As in ``add``, only the arrivals before the saturating one count.
-            live = ((key >> 1) & ((1 << (shift - 1)) - 1)) < saturated_at
-            bit &= live
-            n, up = np.add.reduceat(live, head, dtype=np.int64), np.add.reduceat(bit, head)
+        growths = self._growths(key, shift, ext[risky], level[risky])
         self.cm[ext] += n
         self.c[ext] += 2 * up - n
-        for g, starts, times in formed:
-            self._collapse(starts[times <= saturated_at], g)
-        if saturated_at < m:
-            raise self._saturation_error()
+        for g, starts in growths:
+            self.coalesce(starts, g)
 
     def _growths(
         self, key: np.ndarray, shift: int, ext: np.ndarray, level: np.ndarray
-    ) -> Tuple[List[Tuple[int, np.ndarray, np.ndarray]], int]:
-        """The blocks a chunk forms, as ``(g, starts, times)`` by rising
-        level ``g``, and the index of the arrival that saturates the row,
-        or the chunk's length.
+    ) -> List[Tuple[int, np.ndarray]]:
+        """The blocks a chunk forms, as ``(g, starts)`` by rising level
+        ``g``; raises :class:`RowSaturatedError` if the whole-row counter
+        would pass its cap.
 
         ``key`` holds the chunk's sorted arrival keys, and ``ext`` the
         starts of the extents, at levels ``level``, that can grow. A
-        block may be listed after a larger one that holds it formed;
-        collapsing by rising level makes that harmless.
+        block forms its parent if its running value passes its cap
+        anywhere in the chunk, formed or not at that arrival: before it
+        forms, its value stays below its cap.
         """
-        m, top = len(key), self.width.bit_length() - 1
-        formed: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        top = self.width.bit_length() - 1
+        formed: List[Tuple[int, np.ndarray]] = []
         starts = np.empty(0, dtype=np.int64)
         for g in range(int(level.min(initial=top + 1)), top + 1):
             starts = np.concatenate((starts, ext[level == g]))
@@ -245,52 +235,33 @@ class SalsaRow:
             arrivals &= (1 << shift) - 1
             arrivals |= block << shift
             arrivals.sort()
-            first = self._first_overflows(arrivals, shift, cm, c, g)
+            over = self._overflows(arrivals, count, cm, c, g)
             if g == top:
-                return formed, int(first.min(initial=m))
-            hit = first < m
-            # Each parent forms at the earlier of its halves' overflows.
-            parents, first = starts[hit] & -(2 << g), first[hit]
-            order = np.lexsort((first, parents))
-            keep = np.diff(parents[order], prepend=-1) != 0
-            starts = parents[order][keep]
-            formed.append((g + 1, starts, first[order][keep]))
-        return formed, m
+                if over.any():
+                    raise self._saturation_error()
+                break
+            # Sorted, a parent formed by both halves is listed twice in a row.
+            parents = np.sort(starts[over] & -(2 << g))
+            starts = parents[np.diff(parents, prepend=-1) != 0]
+            formed.append((g + 1, starts))
+        return formed
 
-    def _first_overflows(
-        self, arrivals: np.ndarray, shift: int, cm0: np.ndarray, c0: np.ndarray, g: int
+    def _overflows(
+        self, arrivals: np.ndarray, count: np.ndarray, cm0: np.ndarray, c0: np.ndarray, g: int
     ) -> np.ndarray:
-        """Per level-``g`` block, worth ``cm0`` and ``c0`` before the
-        chunk, the index of the first arrival that takes it past its cap,
-        or the int64 maximum.
+        """Per level-``g`` block, worth ``cm0`` and ``c0`` before the chunk,
+        whether its running value passes its cap anywhere in the chunk.
 
         ``arrivals`` are the sorted keys ``block << shift | index << 1 |
-        bit`` of every arrival into the blocks. Before a block forms, its
-        value is at most twice its halves' cap, below its own, so its
-        first overflow comes at or after it formed.
+        bit`` of the ``count`` arrivals, at least one, into each block.
+        cm only rises, so its final value decides; c, its running extremes.
         """
-        block = arrivals >> shift
-        index = (arrivals >> 1) & ((1 << (shift - 1)) - 1)
-        sign = 2 * (arrivals & 1) - 1
-        head = np.searchsorted(block, np.arange(cm0.size))
-        cm = cm0[block] + np.arange(1, block.size + 1) - head[block]
-        run = np.concatenate(([0], np.cumsum(sign)))
-        c = c0[block] + run[1:] - run[head][block]
-        hit = np.flatnonzero(_over(g, cm, c, c))
-        at = block[hit]
-        first = np.diff(at, prepend=-1) != 0
-        out = np.full(cm0.size, np.iinfo(np.int64).max)
-        out[at[first]] = index[hit[first]]
-        return out
-
-    def _collapse(self, starts: np.ndarray, g: int) -> None:
-        """Make each level-``g`` block at ``starts`` one logical counter."""
-        pos = starts[:, None] + np.arange(1 << g)
-        for field in (self.cm, self.c):
-            sums = field[pos].sum(axis=1)
-            field[pos] = 0
-            field[starts] = sums
-        self.level_of[pos] = g
+        head = np.cumsum(count) - count
+        run = np.cumsum(2 * (arrivals & 1) - 1)
+        base = run[head] - (2 * (arrivals[head] & 1) - 1)
+        hi = np.maximum.reduceat(run, head) - base
+        lo = np.minimum.reduceat(run, head) - base
+        return _over(g, cm0 + count, c0 + hi, c0 + lo)
 
     def coarsened(self, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, cm, c) of this row's counters summed into the layout
@@ -325,8 +296,6 @@ class SalsaSimilaritySketch(_CounterSketch):
     ALGO = Algo.SALSA
 
     def __init__(self, params: SketchParams) -> None:
-        if params.width & (params.width - 1):
-            raise ValueError(f"width must be a power of two, got {params.width}")
         super().__init__(params)
         self.rows = [SalsaRow(params.width) for _ in range(params.rows)]
 
@@ -372,6 +341,3 @@ class SalsaSimilaritySketch(_CounterSketch):
             acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
         raw = acc / self.params.rows
         return clamped_estimate(raw, self.ALGO)
-
-    def dump(self) -> List[List[Tuple[int, int, int, int]]]:
-        return [row.dump() for row in self.rows]

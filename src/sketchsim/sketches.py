@@ -118,9 +118,7 @@ class _CounterSketch(_Sketch):
     @classmethod
     def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
         width = cls._budget_width(memory_bytes, rows)
-        return cls(
-            SketchParams(rows=rows, width=width, master_seed=master_seed, memory_bytes=memory_bytes)
-        )
+        return cls(SketchParams(rows=rows, width=width, master_seed=master_seed))
 
 
 def _check_range(values: np.ndarray, signed: bool, what: str) -> None:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sketchsim.core import (
     DegenerateEstimateError,
-    EmptySketchError,
     IncompatibleSketchError,
     SketchParams,
     UndefinedSimilarityError,
@@ -90,7 +89,7 @@ class TestOccurrenceExpansion:
 
 class TestCmExpansion:
     def big_params(self):
-        return SketchParams(rows=4, width=4096, master_seed=7, memory_bytes=4 * 4096 * 4)
+        return SketchParams(rows=4, width=4096, master_seed=7)
 
     def test_collision_free_cm_matches_exact(self):
         rng = np.random.default_rng(4)
@@ -105,7 +104,7 @@ class TestCmExpansion:
         ]
 
     def test_single_bucket_over_reports(self):
-        params = SketchParams(rows=1, width=1, master_seed=0, memory_bytes=4)
+        params = SketchParams(rows=1, width=1, master_seed=0)
         out = list(expand_cm([1, 2], params))
         assert out[0] == OccurrenceItem(1, 1)
         # Everything shares the one counter, so the second distinct item
@@ -126,14 +125,14 @@ class TestCmExpansion:
     def test_expand_cm_ids_matches_streaming_expansion(self, stream, rows, width, seed):
         # A pool of at most six distinct items gives heavy duplicates, and
         # narrow widths make distinct items share buckets in every row.
-        params = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 4)
+        params = SketchParams(rows=rows, width=width, master_seed=seed)
         expected = [o.item_id() for o in expand_cm(stream, params)]
         assert expand_cm_ids(np.array(stream, dtype=np.uint64), params).tolist() == expected
 
     def test_cm_query_never_under_reports(self):
         rng = np.random.default_rng(5)
         stream = rng.integers(0, 100, size=500, dtype=np.uint64).tolist()
-        params = SketchParams(rows=2, width=32, master_seed=1, memory_bytes=256)
+        params = SketchParams(rows=2, width=32, master_seed=1)
         cm = CmFrequencySketch(params)
         truth = {}
         for item in stream:
@@ -168,11 +167,11 @@ class TestMinHash:
         assert a.mins.tolist() == expected
         assert b.mins.tolist() == expected
 
-    def test_empty_signature_rejected(self):
+    def test_one_empty_side_estimates_zero(self):
         a, b = MinHashSketch(k=8, master_seed=3), MinHashSketch(k=8, master_seed=3)
         a.insert(1)
-        with pytest.raises(EmptySketchError):
-            a.estimate_jaccard(b)
+        assert a.estimate_jaccard(b).raw == 0.0
+        assert b.estimate_jaccard(a).raw == 0.0
 
     def test_incompatible_rejected(self):
         a, b = MinHashSketch(k=8, master_seed=1), MinHashSketch(k=8, master_seed=2)
@@ -198,13 +197,13 @@ class TestMinHash:
 
 class TestHll:
     def test_register_rank_formula(self):
-        s = HllSketch(m_bits=4, n_bits=16, master_seed=1)
-        value_bits = 12
+        s = HllSketch(m_bits=4, master_seed=1)
+        value_bits = 60
         for item in range(50):
-            h = s.hash.bit_hash(item, 16)
+            h = s.hash.bit_hash(item, 64)
             bucket, rest = h >> value_bits, h & ((1 << value_bits) - 1)
             expected = value_bits - rest.bit_length() + 1
-            fresh = HllSketch(m_bits=4, n_bits=16, master_seed=1)
+            fresh = HllSketch(m_bits=4, master_seed=1)
             fresh.insert(item)
             assert fresh.registers[bucket] == expected
             # Leading-one position examples: top bit set -> 1; an
@@ -225,10 +224,10 @@ class TestHll:
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        value_bits = a.n_bits - a.m_bits
+        value_bits = 64 - a.m_bits
         expected = [0] * a.n_registers
         for x in items:
-            h = a.hash.bit_hash(int(x), a.n_bits)
+            h = a.hash.bit_hash(int(x), 64)
             bucket, rest = h >> value_bits, h & ((1 << value_bits) - 1)
             expected[bucket] = max(expected[bucket], value_bits - rest.bit_length() + 1)
         assert a.registers.tolist() == expected

@@ -14,7 +14,7 @@ X1, X2, X3 = 111, 222, 333
 
 
 def sketch(rows=1, width=4, seed=0):
-    params = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 4)
+    params = SketchParams(rows=rows, width=width, master_seed=seed)
     return CmSimilaritySketch(params)
 
 
@@ -167,6 +167,15 @@ class TestEstimate:
         b = sketch(rows=1, width=8, seed=1)
         with pytest.raises(IncompatibleSketchError):
             a.estimate_jaccard(b)
+
+    def test_budgets_of_one_width_compare(self):
+        # Both budgets give 250 counters; the budget itself is not geometry.
+        a = CmSimilaritySketch.from_budget(1000, 1, 1)
+        b = CmSimilaritySketch.from_budget(1003, 1, 1)
+        assert a.params.width == b.params.width == 250
+        a.insert(X1)
+        b.insert(X1)
+        assert a.estimate_jaccard(b).raw == 1.0
 
     def test_incompatible_seed_rejected(self):
         a = sketch(seed=1)

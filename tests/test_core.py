@@ -68,16 +68,15 @@ class TestDeriveWidth:
 
 class TestSketchParams:
     def test_frozen(self):
-        p = SketchParams(rows=1, width=4, master_seed=0, memory_bytes=16)
+        p = SketchParams(rows=1, width=4, master_seed=0)
         with pytest.raises(AttributeError):
             p.rows = 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(rows=0, width=4, master_seed=0, memory_bytes=16),
-            dict(rows=1, width=0, master_seed=0, memory_bytes=16),
-            dict(rows=1, width=4, master_seed=0, memory_bytes=0),
+            dict(rows=0, width=4, master_seed=0),
+            dict(rows=1, width=0, master_seed=0),
         ],
     )
     def test_rejects_degenerate_geometry(self, kwargs):

@@ -14,7 +14,7 @@ X, Y = 4242, 7777
 
 
 def sketch(rows=1, width=4, seed=0):
-    params = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 4)
+    params = SketchParams(rows=rows, width=width, master_seed=seed)
     return CountSimilaritySketch(params)
 
 

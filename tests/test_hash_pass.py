@@ -106,7 +106,7 @@ class TestGridAcrossChunks:
     )
     def test_counters_match_per_row_reference(self, cls, rows, n):
         items = items_of(n, seed=rows * n, universe=5000)
-        s = cls(SketchParams(rows=rows, width=97, master_seed=n, memory_bytes=rows * 97 * 8))
+        s = cls(SketchParams(rows=rows, width=97, master_seed=n))
         s.insert_many(items)
         for name, expected in grid_reference(s, items).items():
             assert (getattr(s, name) == expected).all(), name
@@ -115,7 +115,7 @@ class TestGridAcrossChunks:
         # More slots than a chunk has items: the scattered-add branch.
         items = items_of(HASH_CHUNK + 1, seed=3, universe=1 << 20)
         width = 2 * HASH_CHUNK + 7
-        p = SketchParams(rows=2, width=width, master_seed=5, memory_bytes=2 * width * 8)
+        p = SketchParams(rows=2, width=width, master_seed=5)
         s = WeightedSimilaritySketch(p)
         s.insert_many(items)
         for name, expected in grid_reference(s, items).items():

@@ -21,10 +21,7 @@ from sketchsim.sketches import WeightedSimilaritySketch, weighted_row_similarity
 
 
 def sketch(rows=1, width=8, seed=0):
-    params = SketchParams(
-        rows=rows, width=width, master_seed=seed, memory_bytes=max(1, rows * width * 18 // 8)
-    )
-    return SalsaSimilaritySketch(params)
+    return SalsaSimilaritySketch(SketchParams(rows=rows, width=width, master_seed=seed))
 
 
 def check_buddy_tiling(row: SalsaRow):
@@ -52,10 +49,14 @@ def replay(s, items):
 
 def assert_rows_equal(rows, expected):
     for row, ref in zip(rows, expected, strict=True):
-        starts = [start for start, _ in ref.extents()]
         assert row.level_of.tolist() == ref.level_of.tolist()
-        assert row.cm[starts].tolist() == ref.cm[starts].tolist()
-        assert row.c[starts].tolist() == ref.c[starts].tolist()
+        assert row.cm.tolist() == ref.cm.tolist()
+        assert row.c.tolist() == ref.c.tolist()
+
+
+def counters(row):
+    """(start, byte_len, cm, c) per logical counter, in ring order."""
+    return [(start, blen, int(row.cm[start]), int(row.c[start])) for start, blen in row.extents()]
 
 
 class TestWidthDerivation:
@@ -116,14 +117,24 @@ class TestRowMerging:
 
     def test_coalesce_block_of_three_levels(self):
         row = filled_row(16, [(2, 1), (4, 2), (8, 3)], 3)
-        parts = row.dump()[:4]  # [0], [1], [2, 4), [4, 8)
+        parts = counters(row)[:4]  # [0], [1], [2, 4), [4, 8)
         assert [blen for _, blen, _, _ in parts] == [1, 1, 2, 4]
         row.coalesce(0, 3)
-        assert row.dump()[0] == (0, 8, sum(p[2] for p in parts), sum(p[3] for p in parts))
+        assert counters(row)[0] == (0, 8, sum(p[2] for p in parts), sum(p[3] for p in parts))
         assert row.extent_of(7) == (0, 8)
         check_buddy_tiling(row)
         with pytest.raises(ValueError):
             row.coalesce(4, 2)
+
+    def test_coalesce_many_blocks_at_once(self):
+        row = filled_row(16, [(2, 1), (12, 2)], 4)
+        expected = row.copy()
+        for start in (0, 4, 12):
+            expected.coalesce(start, 2)
+        row.coalesce(np.array([0, 4, 12]), 2)
+        assert_rows_equal([row], [expected])
+        with pytest.raises(ValueError):
+            row.coalesce(np.array([8, 12]), 1)
 
     def test_saturated_row_errors(self):
         row = SalsaRow(1)
@@ -217,7 +228,7 @@ def reference_align(a, b):
     at each common start the longer extent absorbs the other row's
     extents inside it."""
     out = ([], [])
-    ext = (list(a.dump()), list(b.dump()))
+    ext = (counters(a), counters(b))
     at, pos = [0, 0], 0
     while pos < a.width:
         blen = max(ext[0][at[0]][1], ext[1][at[1]][1])
@@ -247,17 +258,16 @@ class TestAlign:
         a, b = filled_row(16, blocks_a, 1), filled_row(16, blocks_b, 2)
         expected = reference_align(a, b)
         a.align(b)
-        assert (a.dump(), b.dump()) == expected
+        assert (counters(a), counters(b)) == expected
         check_buddy_tiling(a)
 
     def test_unmerged_rows_align_is_noop(self):
         a, b = SalsaRow(8), SalsaRow(8)
         a.add(0, 1, 1)
         b.add(5, 1, -1)
-        before_a, before_b = a.dump(), b.dump()
+        before = [a.copy(), b.copy()]
         a.align(b)
-        assert a.dump() == before_a
-        assert b.dump() == before_b
+        assert_rows_equal([a, b], before)
 
     def test_finer_side_merges_to_match(self):
         a, b = SalsaRow(8), SalsaRow(8)
@@ -280,10 +290,9 @@ class TestAlign:
         for _ in range(300):
             b.add(int(rng.integers(0, 16)), 1, int(rng.choice([-1, 1])))
         a.align(b)
-        dump_a, dump_b = a.dump(), b.dump()
+        aligned = [a.copy(), b.copy()]
         a.align(b)
-        assert a.dump() == dump_a
-        assert b.dump() == dump_b
+        assert_rows_equal([a, b], aligned)
 
     def test_align_preserves_totals(self):
         rng = np.random.default_rng(2)
@@ -318,7 +327,7 @@ class TestSketch:
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        assert a.dump() == b.dump()
+        assert_rows_equal(a.rows, b.rows)
 
     def test_conservation_with_forced_merges(self):
         rng = np.random.default_rng(5)
@@ -338,10 +347,9 @@ class TestSketch:
         for trial in range(10):
             sa, sb = random_stream_pair(rng, 200, 150, universe=64)
             width, rows, seed = 64, 2, trial
-            pa = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=width * rows * 18 // 8)
-            pw = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=width * rows * 8)
-            s_a, s_b = SalsaSimilaritySketch(pa), SalsaSimilaritySketch(pa)
-            w_a, w_b = WeightedSimilaritySketch(pw), WeightedSimilaritySketch(pw)
+            p = SketchParams(rows=rows, width=width, master_seed=seed)
+            s_a, s_b = SalsaSimilaritySketch(p), SalsaSimilaritySketch(p)
+            w_a, w_b = WeightedSimilaritySketch(p), WeightedSimilaritySketch(p)
             s_a.insert_many(sa)
             s_b.insert_many(sb)
             w_a.insert_many(sa)
@@ -360,7 +368,8 @@ class TestSketch:
         def no_cancelled_slot(seed):
             s = sketch(rows=1, width=16, seed=seed)
             s.insert_many(items)
-            return all(c != 0 for _, _, cm, c in s.dump()[0] if cm > 0)
+            row = s.rows[0]
+            return bool((row.c[row.cm > 0] != 0).all())
 
         seed = next(s for s in range(100) if no_cancelled_slot(s))
         a, b = sketch(rows=1, width=16, seed=seed), sketch(rows=1, width=16, seed=seed)
@@ -380,10 +389,9 @@ class TestSketch:
         a, b = sketch(width=4, seed=11), sketch(width=4, seed=11)
         a.insert_many(rng.integers(0, 100, size=3000, dtype=np.uint64))
         b.insert_many(rng.integers(0, 100, size=100, dtype=np.uint64))
-        dump_a, dump_b = a.dump(), b.dump()
+        before = [a.rows[0].copy(), b.rows[0].copy()]
         a.estimate_jaccard(b)
-        assert a.dump() == dump_a
-        assert b.dump() == dump_b
+        assert_rows_equal([a.rows[0], b.rows[0]], before)
 
     def test_estimate_equals_estimate_over_aligned_copies(self):
         rng = np.random.default_rng(17)
@@ -395,7 +403,8 @@ class TestSketch:
             ca.align_with(cb)
             acc = 0.0
             for row_a, row_b in zip(ca.rows, cb.rows):
-                (_, _, cm_a, c_a), (_, _, cm_b, c_b) = (np.array(r.dump()).T for r in (row_a, row_b))
+                starts = row_a.starts()
+                cm_a, cm_b, c_a, c_b = (f[starts] for f in (row_a.cm, row_b.cm, row_a.c, row_b.c))
                 acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
             assert a.estimate_jaccard(b).raw == acc / 3
             assert any(ra.level_of.tolist() != rb.level_of.tolist() for ra, rb in zip(a.rows, b.rows))
@@ -428,15 +437,15 @@ class TestSketch:
         # has absorbed 127 of them and before row 1 sees any.
         s = SalsaSimilaritySketch.from_budget(8, 2, 0)
         s.insert_many([1, 2, 3])
-        before = s.dump()
+        before = [row.copy() for row in s.rows]
         with pytest.raises(RowSaturatedError):
             s.insert_many(np.full(200, 7, dtype=np.uint64))
-        assert s.dump() == before
+        assert_rows_equal(s.rows, before)
         assert [row.total_cm() for row in s.rows] == [3, 3]
         assert s.total_inserted == 3
 
     def test_non_power_of_two_width_rejected(self):
-        params = SketchParams(rows=1, width=6, master_seed=0, memory_bytes=32)
+        params = SketchParams(rows=1, width=6, master_seed=0)
         with pytest.raises(ValueError):
             SalsaSimilaritySketch(params)
 
@@ -482,13 +491,13 @@ class TestInsertMatchesScalarReplay:
         s = sketch(rows=2, width=2, seed=5)
         rng = np.random.default_rng(6)
         s.insert_many(rng.integers(0, 4, size=3072, dtype=np.uint64))
-        before, total = s.dump(), s.total_inserted
+        before, total = [row.copy() for row in s.rows], s.total_inserted
         items = np.full(40_000, 9, dtype=np.uint64)
         with pytest.raises(RowSaturatedError):
             replay(s, items)
         with pytest.raises(RowSaturatedError):
             s.insert_many(items)
-        assert s.dump() == before
+        assert_rows_equal(s.rows, before)
         assert s.total_inserted == total
 
 
@@ -572,17 +581,17 @@ class TestRiskSplit:
         assert_rows_equal([row], [expected])
         assert row.extent_of(3) == (0, 4)
 
-    def test_saturation_keeps_a_block_formed_by_its_earlier_half(self):
-        # Byte 0 grows the whole two-byte row early; the row saturates
-        # before byte 1, on its own, would have passed its level-0 cap.
+    def test_saturating_chunk_leaves_the_row_unchanged(self):
+        # Byte 0 grows the whole two-byte row early, and the replay
+        # saturates with that growth applied; the chunk applies nothing.
         row = SalsaRow(2)
         pos = np.repeat(np.array([0, 1], dtype=np.int64), [40_000, 200])
         bits = np.ones(len(pos), dtype=np.int64)
-        expected, expected_err = replay_row(row, pos, bits)
+        replayed, expected_err = replay_row(row, pos, bits)
+        assert expected_err is not None and replayed.extent_of(1) == (0, 2)
         err = add_many_caught(row, pos, bits)
-        assert err is not None and err == expected_err
-        assert_rows_equal([row], [expected])
-        assert row.extent_of(1) == (0, 2)
+        assert err == expected_err
+        assert_rows_equal([row], [SalsaRow(2)])
 
     @settings(max_examples=150, deadline=None)
     # One byte saturates at the 256th arrival, within the second batch.
@@ -605,16 +614,15 @@ class TestRiskSplit:
         pos = pos.astype(np.int64)
         bits = (rng.random(n) < p_plus).astype(np.int64)
         row = SalsaRow(width)
-        expected, expected_err = replay_row(row, pos, bits)
-        err = None
         for lo, hi in itertools.pairwise([0, *sorted(int(c * n) for c in cuts), n]):
+            before = row.copy()
+            expected, expected_err = replay_row(row, pos[lo:hi], bits[lo:hi])
             err = add_many_caught(row, pos[lo:hi], bits[lo:hi])
+            assert err == expected_err
+            # A saturating chunk raises the replay's error and applies nothing.
+            assert_rows_equal([row], [before if err else expected])
             if err:
                 break
-        # On saturation both stop at the same arrival, with every arrival
-        # before it applied.
-        assert err == expected_err
-        assert_rows_equal([row], [expected])
 
     def test_wide_row(self):
         # A 2 MB budget: half a million bytes, a few of them hot.
@@ -632,7 +640,7 @@ class TestRiskSplit:
         # count shows whether the safe extents take theirs in one step.
         stream = zipf_stream(ZipfSpec(n_items=100_000, n_distinct=50_000, alpha=1.0, seed=1))
         s = SalsaSimilaritySketch.from_budget(10 * 1024, 1, 1)
-        walked = counting(monkeypatch, "_first_overflows")
+        walked = counting(monkeypatch, "_overflows")
         s.insert_many(stream)
         assert s.rows[0].total_cm() == len(stream)
         assert walked["arrivals"] <= 0.25 * len(stream)

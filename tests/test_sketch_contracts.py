@@ -26,7 +26,7 @@ GRID_CLASSES = (CmSimilaritySketch, CountSimilaritySketch, WeightedSimilaritySke
 
 
 def params(rows, width, seed):
-    return SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 8)
+    return SketchParams(rows=rows, width=width, master_seed=seed)
 
 
 def grid_state(s):
@@ -98,7 +98,7 @@ class TestBatchSplitInvariance:
         stream, chunks = data
         # Two slots and four distinct items: long streams push a slot past
         # one byte, so buddy merges happen mid-stream.
-        p = SketchParams(rows=2, width=2, master_seed=seed, memory_bytes=9)
+        p = SketchParams(rows=2, width=2, master_seed=seed)
         whole, parts = SalsaSimilaritySketch(p), SalsaSimilaritySketch(p)
         whole.insert_many(stream)
         for chunk in chunks:
@@ -146,8 +146,7 @@ class TestDifferentTypesRefuse:
 
 
 class TestEmptyPairs:
-    # MinHash raises EmptySketchError instead; its tests cover it.
-    @pytest.mark.parametrize("name", [name for name in ALL_SKETCHES if name != "minhash"])
+    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
     def test_two_empty_sketches_are_undefined(self, name):
         a, b = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
         with pytest.raises(UndefinedSimilarityError):

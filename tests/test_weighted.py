@@ -14,7 +14,7 @@ X1, X2, X3 = 111, 222, 333
 
 
 def sketch(rows=1, width=4, seed=0):
-    params = SketchParams(rows=rows, width=width, master_seed=seed, memory_bytes=rows * width * 8)
+    params = SketchParams(rows=rows, width=width, master_seed=seed)
     return WeightedSimilaritySketch(params)
 
 
