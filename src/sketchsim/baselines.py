@@ -352,8 +352,12 @@ class MaxLogHashSketch(_SetSketch):
     def estimate_jaccard(self, other: "MaxLogHashSketch") -> JaccardEstimate:
         """1 minus the scaled count of rows whose unique maximum sits on
         one side only; those rows witness items outside the intersection.
+        One empty side shares no item, so it estimates 0: the formula would
+        count only the other side's unique rows, which fall short of k·α.
         """
         self._check_estimable(other)
+        if self.is_empty() or other.is_empty():
+            return clamped_estimate(0.0, self.ALGO)
         differs = self.maxlogs != other.maxlogs
         self_wins = self.maxlogs > other.maxlogs
         other_wins = other.maxlogs > self.maxlogs

@@ -73,9 +73,8 @@ ADAPTER_ROWS = 2
 # -- Ingestion ----------------------------------------------------------
 
 
-# Lines per read block of a text or ipcsv stream. Each block is checked
-# and hashed once per distinct line, and it bounds the memory a read holds
-# besides its result.
+# Lines per read block of a text or ipcsv stream. A read's memo of distinct
+# lines is cleared at a block boundary once it holds more than four blocks.
 READ_BLOCK = 1 << 13
 
 
@@ -104,9 +103,10 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
     ipcsv field. An empty token, an ipcsv line without exactly two
     non-empty fields, or bytes that are not UTF-8 raise
     :class:`StreamFormatError` naming the first such line. The lines are
-    taken in blocks of :data:`READ_BLOCK`, and each distinct line of a
-    block is checked and hashed once, so besides the result a read holds
-    at most one block of lines.
+    taken in blocks of :data:`READ_BLOCK`. One memo per call maps each
+    distinct line to its id, so a line is checked and hashed once per read;
+    it is cleared at a block boundary once it holds more than four blocks
+    of lines, which bounds what a read holds besides its result.
     """
     if format not in STREAM_FORMATS:
         raise ValueError(f"unknown stream format {format!r}")
@@ -128,46 +128,60 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
             items = np.fromfile(fh, dtype="<u8", count=size // 8)
         return items.astype(np.uint64, copy=False)
 
-    ipcsv = format == "ipcsv"
-    blocks = [np.empty(0, np.uint64)]  # so an empty file reads as an empty array
+    memo = _LineIds(format == "ipcsv")
+    out = np.empty(0, np.uint64)
     n = 0  # lines before the current block
     # Undecodable bytes become lone surrogates, which token_digest cannot
     # encode; that is where a line is found not to be UTF-8.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while block := list(itertools.islice(fh, READ_BLOCK)):
-            # The block's distinct lines in first-occurrence order, each
-            # mapped to its place in that order. Equal lines fail alike, so
-            # the first distinct line to fail is the first line to fail.
-            index = dict.fromkeys(block)
-            digests = []
-            for pos, line in enumerate(index):
-                index[line] = pos
-                token = line.strip()
-                if not token:
-                    raise _malformed(path, n, block, line, "empty token")
-                if ipcsv:
-                    src, comma, dst = token.partition(",")
-                    if not comma or "," in dst:
-                        raise _malformed(
-                            path, n, block, line, f"expected 'src,dst', got {token!r}"
-                        )
-                    src, dst = src.strip(), dst.strip()
-                    if not (src and dst):
-                        raise _malformed(path, n, block, line, f"empty field in {token!r}")
-                    token = src + "," + dst
-                try:
-                    digests.append(token_digest(token))
-                except UnicodeEncodeError:
-                    raise _malformed(path, n, block, line, "not valid UTF-8") from None
-            ids = np.frombuffer(b"".join(digests), "<u8").astype(np.uint64, copy=False)
-            blocks.append(ids[np.fromiter(map(index.__getitem__, block), np.intp, len(block))])
+            if len(memo) > 4 * READ_BLOCK:
+                memo = _LineIds(memo.ipcsv)
+            # Lines are looked up in order and every earlier line passed,
+            # so the line that fails is the first failing line of the file.
+            try:
+                rows = np.fromiter(map(memo.__getitem__, block), np.intp, len(block))
+            except _BadLine as exc:
+                lineno = n + block.index(exc.args[0]) + 1
+                raise StreamFormatError(f"{path}: line {lineno}: {exc.args[1]}") from None
+            if n + len(block) > out.size:
+                out.resize(max(n + len(block), out.size + out.size // 4), refcheck=False)
+            np.take(np.frombuffer(memo.digests, "<u8"), rows, out=out[n : n + len(block)])
             n += len(block)
-    return np.concatenate(blocks)
+    out.resize(n, refcheck=False)
+    return out
 
 
-def _malformed(path: str, n: int, block: List[str], line: str, reason: str) -> StreamFormatError:
-    """The error for ``line``, first seen in ``block``, which follows ``n`` lines."""
-    return StreamFormatError(f"{path}: line {n + block.index(line) + 1}: {reason}")
+class _BadLine(Exception):
+    """A line that fails its checks; ``args`` are the line and the reason."""
+
+
+class _LineIds(dict):
+    """Maps a raw line to its row in ``digests``; a new line is checked and hashed."""
+
+    def __init__(self, ipcsv: bool) -> None:
+        super().__init__()
+        self.ipcsv = ipcsv
+        self.digests = bytearray()
+
+    def __missing__(self, line: str) -> int:
+        token = line.strip()
+        if not token:
+            raise _BadLine(line, "empty token")
+        if self.ipcsv:
+            src, comma, dst = token.partition(",")
+            if not comma or "," in dst:
+                raise _BadLine(line, f"expected 'src,dst', got {token!r}")
+            src, dst = src.strip(), dst.strip()
+            if not (src and dst):
+                raise _BadLine(line, f"empty field in {token!r}")
+            token = src + "," + dst
+        try:
+            self.digests += token_digest(token)
+        except UnicodeEncodeError:
+            raise _BadLine(line, "not valid UTF-8") from None
+        row = self[line] = len(self)
+        return row
 
 
 # -- Metrics ------------------------------------------------------------

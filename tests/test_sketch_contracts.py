@@ -3,7 +3,8 @@
 Weighted's two fields are CM's and Count's fields under one hash family,
 no sketch's state, whether a counter grid or a set baseline, depends
 on how a stream is cut into batches, sketches of different types refuse
-to compare, and two empty sketches have no similarity.
+to compare, two empty sketches have no similarity, and one empty side
+estimates 0.
 """
 
 import itertools
@@ -151,3 +152,10 @@ class TestEmptyPairs:
         a, b = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
         with pytest.raises(UndefinedSimilarityError):
             a.estimate_jaccard(b)
+
+    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    def test_one_empty_side_estimates_zero(self, name):
+        full, empty = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
+        full.insert_many(np.arange(1, 40, dtype=np.uint64))
+        assert full.estimate_jaccard(empty).value == 0.0
+        assert empty.estimate_jaccard(full).value == 0.0
