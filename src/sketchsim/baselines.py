@@ -204,7 +204,7 @@ class MinHashSketch(_SetSketch):
         self.mins = np.full(k, np.inf, dtype=np.float64)
 
     def insert_many(self, items) -> None:
-        items = np.ascontiguousarray(items, dtype=np.uint64)
+        items = self._item_ids(items)
         if items.size == 0:
             return
         # The unit hash is monotone in the raw hash, so the batch minimum
@@ -269,7 +269,7 @@ class HllSketch(_SetSketch):
         return ALPHA_INF / (1.0 + ALPHA_INF / self.n_registers)
 
     def insert_many(self, items) -> None:
-        items = np.ascontiguousarray(items, dtype=np.uint64)
+        items = self._item_ids(items)
         if items.size == 0:
             return
         h = self.hash.bit_hash_many(items, 64)
@@ -327,7 +327,7 @@ class MaxLogHashSketch(_SetSketch):
         self.unique_flags = np.ones(k, dtype=bool)
 
     def insert_many(self, items) -> None:
-        items = np.ascontiguousarray(items, dtype=np.uint64)
+        items = self._item_ids(items)
         if items.size == 0:
             return
         # Per chunk and row: the top rank belongs to the least 52-bit
@@ -393,7 +393,7 @@ class DotHashSketch(_SetSketch):
         self._scale = 1.0 / np.sqrt(d)
 
     def insert_many(self, items) -> None:
-        items = np.ascontiguousarray(items, dtype=np.uint64)
+        items = self._item_ids(items)
         for item in items.tolist():
             mixed = self.hash.row_hashes(item, HashKind.SIGN)
             self.vec += np.where(mixed >> np.uint64(63), 1.0, -1.0) * self._scale

@@ -309,7 +309,7 @@ class SalsaSimilaritySketch(_CounterSketch):
         Updates go to copies of the rows, which replace the rows only
         once every row has absorbed the whole batch.
         """
-        items = np.ascontiguousarray(items, dtype=np.uint64)
+        items = self._item_ids(items)
         if items.size == 0:
             return
         staged = [row.copy() for row in self.rows]

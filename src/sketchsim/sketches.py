@@ -17,9 +17,9 @@ and how they compare slots:
 All variants are linear in the stream: merging two sketches equals
 sketching the concatenated streams, counter for counter.
 
-Counters are logically 32-bit (overflow-checked, not saturating); the
-backing arrays are int64 so bound checks can run after the arithmetic
-without wraparound.
+Counters are 32-bit (overflow-checked, not saturating), so a grid holds
+exactly the bytes its budget is charged for. Totals are formed and checked
+in int64 before they are written back, so no check sees a wrapped value.
 """
 
 from __future__ import annotations
@@ -88,6 +88,13 @@ class _Sketch:
     def insert(self, item: ItemId) -> None:
         self.insert_many(np.array([item], dtype=np.uint64))
 
+    @staticmethod
+    def _item_ids(items) -> np.ndarray:
+        """``items`` as uint64 ids; a non-integer array is refused: a cast would truncate it."""
+        if np.size(items) and getattr(items, "dtype", np.dtype(np.uint64)).kind not in "iu":
+            raise TypeError(f"item ids must be integers, got an array of dtype {items.dtype}")
+        return np.ascontiguousarray(items, dtype=np.uint64)
+
     def is_empty(self) -> bool:
         return self.total_inserted == 0
 
@@ -121,10 +128,11 @@ class _CounterSketch(_Sketch):
         return cls(SketchParams(rows=rows, width=width, master_seed=master_seed))
 
 
-def _check_range(values: np.ndarray, signed: bool, what: str) -> None:
-    if signed and int(np.abs(values).max(initial=0)) > _C_MAX:
+def _check_range(totals: np.ndarray, signed: bool, what: str) -> None:
+    # Unsigned totals are sums of counts, so only their maximum can fail.
+    if signed and (int(totals.max(initial=0)) > _C_MAX or int(totals.min(initial=0)) < -_C_MAX):
         raise CounterOverflowError(f"{what} would exceed the signed 32-bit counter range")
-    if not signed and int(values.max(initial=0)) > _CM_MAX:
+    if not signed and int(totals.max(initial=0)) > _CM_MAX:
         raise CounterOverflowError(f"{what} would exceed the 32-bit counter range")
 
 
@@ -132,8 +140,10 @@ class _GridSketch(_CounterSketch):
     """Counter fields over one rows-by-width grid.
 
     ``FIELDS`` maps each field's attribute name to whether it is signed.
-    An unsigned field counts arrivals per slot; a signed field sums the
-    arrivals' sign hashes.
+    An unsigned field (uint32) counts arrivals per slot; a signed field
+    (int32) sums the arrivals' sign hashes. An insert forms and checks
+    the new totals in its int64 count buffer and writes them back only
+    once every field has passed.
     """
 
     SLOT_BYTES: int
@@ -141,8 +151,9 @@ class _GridSketch(_CounterSketch):
 
     def __init__(self, params: SketchParams) -> None:
         super().__init__(params)
-        for name in self.FIELDS:
-            setattr(self, name, np.zeros((params.rows, params.width), dtype=np.int64))
+        for name, signed in self.FIELDS.items():
+            dtype = np.int32 if signed else np.uint32
+            setattr(self, name, np.zeros((params.rows, params.width), dtype))
 
     @classmethod
     def _budget_width(cls, memory_bytes: int, rows: int) -> int:
@@ -150,14 +161,14 @@ class _GridSketch(_CounterSketch):
 
     def insert_many(self, items) -> None:
         """Insert a batch; raises without applying anything on overflow."""
-        items = np.ascontiguousarray(items, dtype=np.uint64)
+        items = self._item_ids(items)
         if items.size == 0:
             return
         width = self.params.width
         signed = any(self.FIELDS.values())
         kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
-        # A signed grid counts slot 2*i + s, where s is the arrival's sign
-        # bit (1 for +1), so one count gives both signs per slot.
+        # A signed grid counts slot i + s*width, where s is the arrival's
+        # sign bit (1 for +1), so one count gives both signs per slot.
         bins = 2 * width if signed else width
         counts = np.zeros((self.params.rows, bins), dtype=np.int64)
         for row, hashes in self.hash.chunk_hashes(items, kinds):
@@ -165,27 +176,30 @@ class _GridSketch(_CounterSketch):
             if signed:
                 sign_bit = hashes[1]
                 sign_bit >>= np.uint64(63)
-                idx <<= np.uint64(1)
-                idx |= sign_bit
+                sign_bit *= np.uint64(width)
+                idx += sign_bit
             idx = idx.view(np.int64)
             # A dense count costs O(bins) per chunk, a scattered add
             # O(items) at about 1.5 times bincount's cost per item; the
             # two cross where the grid has about a chunk's length of bins.
+            # The buffer stays int64: np.add.at into int32 with a Python 1
+            # takes numpy's casting path, about 150 ns an arrival, not 9.
             if bins < HASH_CHUNK:
                 counts[row] += np.bincount(idx, minlength=bins)
             else:
                 np.add.at(counts[row], idx, 1)
-        if signed:
-            neg, pos = counts[:, 0::2], counts[:, 1::2]
-            deltas = {False: neg + pos, True: pos - neg}
-        else:
-            deltas = {False: counts}
-        totals = {}
+        if signed:  # totals in place: signed pos - neg, unsigned 2*neg + (pos - neg)
+            neg, pos = counts[:, :width], counts[:, width:]
+            pos -= neg
+            if not all(self.FIELDS.values()):
+                neg *= 2
+                neg += pos
+        totals = {False: neg, True: pos} if signed else {False: counts}
         for name, is_signed in self.FIELDS.items():
-            totals[name] = getattr(self, name) + deltas[is_signed]
-            _check_range(totals[name], is_signed, f"insert into {name}")
-        for name, total in totals.items():
-            getattr(self, name)[...] = total
+            totals[is_signed] += getattr(self, name)
+            _check_range(totals[is_signed], is_signed, f"insert into {name}")
+        for name, is_signed in self.FIELDS.items():
+            getattr(self, name)[...] = totals[is_signed]
         self.total_inserted += items.size
 
     def merge(self, other: "_GridSketch") -> "_GridSketch":
@@ -193,9 +207,10 @@ class _GridSketch(_CounterSketch):
         self._check_compatible(other)
         merged = type(self)(self.params)
         for name, is_signed in self.FIELDS.items():
-            total = getattr(self, name) + getattr(other, name)
+            # Summed in int64: a 32-bit sum would wrap before the check.
+            total = np.add(getattr(self, name), getattr(other, name), dtype=np.int64)
             _check_range(total, is_signed, f"merge of {name}")
-            setattr(merged, name, total)
+            getattr(merged, name)[...] = total
         merged.total_inserted = self.total_inserted + other.total_inserted
         return merged
 

@@ -1,13 +1,17 @@
 """Contracts shared by the sketches.
 
 Weighted's two fields are CM's and Count's fields under one hash family,
-no sketch's state, whether a counter grid or a set baseline, depends
+each grid holds exactly the bytes of its budget in 32-bit fields, an
+insert or merge that would pass a field's range changes nothing, no
+sketch's state, whether a counter grid or a set baseline, depends
 on how a stream is cut into batches, sketches of different types refuse
 to compare, two empty sketches have no similarity, and one empty side
-estimates 0.
+estimates 0. Every sketch refuses item arrays that are not integers.
 """
 
 import itertools
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchsim.baselines import DotHashSketch, HllSketch, MaxLogHashSketch, MinHashSketch
-from sketchsim.core import IncompatibleSketchError, SketchParams, UndefinedSimilarityError
+from sketchsim.core import (
+    CounterOverflowError,
+    IncompatibleSketchError,
+    SketchParams,
+    UndefinedSimilarityError,
+)
+from sketchsim.hashing import HASH_CHUNK
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
     CmSimilaritySketch,
@@ -159,3 +169,147 @@ class TestEmptyPairs:
         full.insert_many(np.arange(1, 40, dtype=np.uint64))
         assert full.estimate_jaccard(empty).value == 0.0
         assert empty.estimate_jaccard(full).value == 0.0
+
+
+CM_MAX, C_MAX = (1 << 32) - 1, (1 << 31) - 1
+# (class, field, sign of the arrivals): every field at its cap, and the
+# signed fields on both sides.
+FIELD_CAPS = [
+    (CmSimilaritySketch, "counters", 1),
+    (CountSimilaritySketch, "counters", 1),
+    (CountSimilaritySketch, "counters", -1),
+    (WeightedSimilaritySketch, "cm_counters", 1),
+    (WeightedSimilaritySketch, "c_counters", 1),
+    (WeightedSimilaritySketch, "c_counters", -1),
+]
+
+
+def fields_of(s):
+    return {name: getattr(s, name).copy() for name in s.FIELDS}
+
+
+def item_with_sign(s, sign, avoid_slot=None):
+    """The first item whose row-0 sign hash is ``sign``, outside ``avoid_slot``."""
+    width = s.params.width
+    for x in itertools.count(1):
+        if s.hash.sign_hash(x, 0) == sign and s.hash.index_hash(x, 0, width) != avoid_slot:
+            return x
+
+
+def cap_of(cls, field, sign):
+    return sign * C_MAX if cls.FIELDS[field] else CM_MAX
+
+
+class TestGridHoldsItsBudget:
+    @pytest.mark.parametrize("cls", GRID_CLASSES)
+    @pytest.mark.parametrize(
+        "memory_bytes,rows", [(64, 1), (10_000, 1), (10_000, 4), (99_999, 3), (2_000_000, 4)]
+    )
+    def test_fields_hold_exactly_the_budget(self, cls, memory_bytes, rows):
+        s = cls.from_budget(memory_bytes, rows, master_seed=1)
+        charged = rows * s.params.width * cls.SLOT_BYTES
+        assert charged <= memory_bytes
+        s.insert_many(np.arange(1, 5_000, dtype=np.uint64))
+        for sketch in (s, s.merge(s)):
+            assert sum(getattr(sketch, f).nbytes for f in cls.FIELDS) == charged
+
+    @pytest.mark.parametrize(
+        "cls,width",
+        [
+            (CmSimilaritySketch, 1 << 20),
+            (CountSimilaritySketch, 1 << 20),
+            (WeightedSimilaritySketch, 1 << 19),
+        ],
+    )
+    def test_insert_allocates_only_its_count_buffer(self, cls, width):
+        s = cls(params(1, width, seed=1))
+        items = np.random.default_rng(0).integers(0, 1 << 63, size=200_000, dtype=np.uint64)
+        bins = 2 * width if any(cls.FIELDS.values()) else width
+        tracemalloc.start()
+        try:
+            s.insert_many(items)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The int64 count buffer, plus the hashing pass's chunk buffers.
+        assert peak < bins * 8 + (2 << 20), f"peak {peak} bytes for a {bins * 8}-byte buffer"
+
+
+class TestGridRange:
+    @pytest.mark.parametrize("cls,field,sign", FIELD_CAPS)
+    @pytest.mark.parametrize("width", [4, HASH_CHUNK])
+    def test_exactly_the_cap_is_applied_and_one_more_is_not(self, cls, field, sign, width):
+        s = cls(params(1, width, seed=3))
+        x = item_with_sign(s, sign)
+        j = s.hash.index_hash(x, 0, width)
+        cap = cap_of(cls, field, sign)
+        getattr(s, field)[0, j] = cap - 2 * sign
+        s.insert_many([x, x])
+        assert int(getattr(s, field)[0, j]) == cap
+        before = fields_of(s)
+        with pytest.raises(CounterOverflowError):
+            s.insert(x)
+        for name, values in before.items():
+            assert getattr(s, name).tobytes() == values.tobytes()
+        assert s.total_inserted == 2
+
+    @pytest.mark.parametrize("cls,field,sign", FIELD_CAPS)
+    def test_large_values_in_different_slots_do_not_raise(self, cls, field, sign):
+        # The field's largest value and the batch's largest delta sum past
+        # the cap, but they sit in different slots, so no total does.
+        s = cls(params(1, 8, seed=4))
+        x = item_with_sign(s, sign)
+        j = s.hash.index_hash(x, 0, 8)
+        y = item_with_sign(s, sign, avoid_slot=j)
+        k = s.hash.index_hash(y, 0, 8)
+        cap = cap_of(cls, field, sign)
+        getattr(s, field)[0, j] = cap - 5 * sign
+        s.insert_many(np.full(10, y, dtype=np.uint64))
+        assert int(getattr(s, field)[0, j]) == cap - 5 * sign
+        assert int(getattr(s, field)[0, k]) == 10 * sign
+        assert s.total_inserted == 10
+
+    @pytest.mark.parametrize("cls,field,sign", FIELD_CAPS)
+    def test_merge_past_the_cap_raises_instead_of_wrapping(self, cls, field, sign):
+        a, b = cls(params(2, 4, seed=5)), cls(params(2, 4, seed=5))
+        cap = cap_of(cls, field, sign)
+        # Twice the cap wraps in 32 bits to a value inside the range.
+        getattr(a, field)[1, 2] = cap
+        getattr(b, field)[1, 2] = cap
+        with pytest.raises(CounterOverflowError):
+            a.merge(b)
+        getattr(b, field)[1, 2] = 0
+        assert int(getattr(a.merge(b), field)[1, 2]) == cap
+
+
+BAD_ITEMS = {"float": np.array([1.5, 2.9]), "bool": np.array([True, False])}
+
+
+class TestItemIds:
+    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    @pytest.mark.parametrize("kind", list(BAD_ITEMS))
+    @pytest.mark.parametrize("order", ["bad first", "bad second"])
+    def test_non_integer_arrays_are_refused(self, name, kind, order):
+        # Refused whether the batch meets an empty sketch or a filled one,
+        # and the sketch is left exactly as a twin that never saw it.
+        s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
+        good = np.array([1, 2], dtype=np.uint64)
+        if order == "bad second":
+            s.insert_many(good)
+            twin.insert_many(good)
+        with pytest.raises(TypeError, match=str(BAD_ITEMS[kind].dtype)):
+            s.insert_many(BAD_ITEMS[kind])
+        assert pickle.dumps(s) == pickle.dumps(twin)
+
+    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    def test_integer_lists_views_and_empty_batches_still_work(self, name):
+        ids = np.array([1, 2, (1 << 63) + 7, (1 << 64) - 1], dtype=np.uint64)
+        reference = ALL_SKETCHES[name]()
+        reference.insert_many(ids)
+        for batch in (ids.tolist(), ids.view(np.int64), [], np.array([])):
+            s = ALL_SKETCHES[name]()
+            s.insert_many(batch)
+            if len(batch):
+                assert pickle.dumps(s) == pickle.dumps(reference)
+            else:
+                assert s.is_empty()
