@@ -16,6 +16,11 @@ sorts twice without a stable sort.
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
 
+MinHash, MaxLogHash and HLL insert through the chunked hashing pass,
+``HashFamily.chunk_hashes``, so no array as long as the batch is held.
+The pass yields unit hashes open (see ``sketchsim.hashing``): MinHash
+closes each chunk itself, and MaxLogHash reads them open.
+
 The baselines share the counter sketches' base, ``sketches._Sketch``:
 seed and hash family, ``total_inserted``, single-item ``insert``,
 ``is_empty``, and the checks before a comparison, which raise
@@ -41,7 +46,15 @@ from sketchsim.core import (
     SketchParams,
     clamped_estimate,
 )
-from sketchsim.hashing import MASK64, HashFamily, HashKind, mix64, mix64_array
+from sketchsim.hashing import (
+    HASH_CHUNK,
+    MASK64,
+    HashFamily,
+    HashKind,
+    close_hash,
+    mix64,
+    mix64_array,
+)
 from sketchsim.sketches import _Sketch
 
 # Bias constant for rank-based cardinality estimators; good for any
@@ -208,9 +221,12 @@ class MinHashSketch(_SetSketch):
         if items.size == 0:
             return
         # The unit hash is monotone in the raw hash, so the batch minimum
-        # is taken over raw hashes and converted once, exactly.
+        # is taken over raw hashes and converted once, exactly. The pass
+        # yields them open; each chunk is closed in a reused buffer.
         lows = np.full(self.k, MASK64, dtype=np.uint64)
+        scratch = np.empty(min(items.size, HASH_CHUNK), dtype=np.uint64)
         for row, (h,) in self.hash.chunk_hashes(items, (HashKind.UNIT,)):
+            h = close_hash(h, scratch[: h.size])
             lows[row] = min(lows[row], h.min())
         lows >>= np.uint64(12)
         np.minimum(self.mins, (lows.astype(np.float64) + 0.5) * 2.0**-52, out=self.mins)
@@ -272,12 +288,14 @@ class HllSketch(_SetSketch):
         items = self._item_ids(items)
         if items.size == 0:
             return
-        h = self.hash.bit_hash_many(items, 64)
+        # Chunk by chunk: the register maximum does not depend on the
+        # order or the cut of the stream.
         value_bits = 64 - self.m_bits
-        buckets = (h >> np.uint64(value_bits)).astype(np.int64)
-        h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
-        rho = value_bits - _bit_length(h) + 1
-        np.maximum.at(self.registers, buckets, rho.astype(np.uint8))
+        for _, (h,) in self.hash.chunk_hashes(items, (HashKind.BIT,)):
+            buckets = (h >> np.uint64(value_bits)).view(np.int64)
+            h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
+            rho = value_bits - _bit_length(h) + 1
+            np.maximum.at(self.registers, buckets, rho.astype(np.uint8))
         self.total_inserted += items.size
 
     def union(self, other: "HllSketch") -> "HllSketch":
@@ -335,6 +353,11 @@ class MaxLogHashSketch(_SetSketch):
         # and the items tying it are those with r < 2**bit_length. The
         # update rule gives the same state however a stream is cut, so
         # chunks apply it in turn.
+        #
+        # Both steps only compare hashes with powers of two, so they read
+        # the open hash the pass yields. Its closing step x ^ (x >> 33)
+        # keeps bits 63..31, which decide a comparison with 2**31 or more,
+        # and changes nothing below 2**33, where the smaller powers lie.
         for row, (h,) in self.hash.chunk_hashes(items, (HashKind.UNIT,)):
             length = (int(h.min()) >> 12).bit_length()
             top = 53 if length == 0 else 52 - length

@@ -15,10 +15,17 @@ Every vector hash comes from one chunked pass,
 :data:`HASH_CHUNK` items, premixes each chunk once, and then mixes the
 premix with each (row, kind) seed in place, in buffers reused for the
 whole pass, so no array as long as the batch is allocated. The grid
-sketches, SALSA, MinHash and MaxLogHash consume the pass chunk by
+sketches, SALSA, MinHash, MaxLogHash and HLL consume the pass chunk by
 chunk; the ``*_many`` methods copy its output into one array. DotHash,
 built for small sets, hashes one item at a time over all its rows with
 :meth:`HashFamily.row_hashes`.
+
+The pass yields the kinds in :data:`OPEN_KINDS` open: without ``mix64``'s
+closing xorshift ``x ^ (x >> 33)``. That step leaves bits 63..31 as they
+are, and changes no hash below 2**33. So an open hash has the sign bit of
+the full hash, and compares with any power of two as the full hash does,
+which is all MaxLogHash asks of it. A consumer that needs every bit
+closes the hash with :func:`close_hash`.
 """
 
 from __future__ import annotations
@@ -66,6 +73,11 @@ def _xorshift(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray
     return np.bitwise_xor(x, scratch, out=out)
 
 
+def close_hash(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Close an open hash in place; ``scratch`` has ``h``'s length."""
+    return _xorshift(h, h, scratch)
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array. Returns a new array."""
     x = np.array(x, dtype=np.uint64)
@@ -98,6 +110,11 @@ class HashKind(enum.IntEnum):
     SIGN = 1
     UNIT = 2
     BIT = 3
+
+
+# The kinds :meth:`HashFamily.chunk_hashes` yields open; see the module
+# docstring.
+OPEN_KINDS = frozenset({HashKind.SIGN, HashKind.UNIT})
 
 
 class HashFamily:
@@ -194,9 +211,10 @@ class HashFamily:
         ``rows`` (default: every row), it yields ``(row, hashes)``, where
         ``hashes[j]`` holds the chunk's ``mix64(mix64(item) ^ seed)``
         under the seed of ``kinds[j]`` and ``row``: the value the scalar
-        methods reduce. For :attr:`HashKind.SIGN` only bit 63, the sign
-        bit, is that hash's: the closing xorshift of ``mix64``, which
-        never changes bit 63, is skipped. The hashes live in buffers
+        methods reduce. The kinds of :data:`OPEN_KINDS` (SIGN and UNIT)
+        come open: the closing xorshift of ``mix64`` is skipped, so only
+        bits 63..31, which it never changes, are that hash's.
+        :func:`close_hash` gives the rest. The hashes live in buffers
         reused for the whole pass; they are overwritten at the next step,
         and the caller may change them in place.
         """
@@ -226,18 +244,22 @@ class HashFamily:
                     h *= _UMIX_A
                     _xorshift(h, h, tmp)
                     h *= _UMIX_B
-                    if kind != HashKind.SIGN:
+                    if kind not in OPEN_KINDS:
                         _xorshift(h, h, tmp)
                     hashes.append(h)
                 yield row, tuple(hashes)
 
     def _mixed_many(self, items: np.ndarray, kind: HashKind, row: int) -> np.ndarray:
-        """One (kind, row) of :meth:`chunk_hashes` as one array."""
+        """One (kind, row) of :meth:`chunk_hashes` as one array, closed."""
         items = np.asarray(items, dtype=np.uint64)
         mixed = np.empty(items.size, dtype=np.uint64)
         lo = 0
         for _, (h,) in self.chunk_hashes(items, (kind,), (row,)):
-            mixed[lo : lo + h.size] = h
+            out = mixed[lo : lo + h.size]
+            if kind in OPEN_KINDS:
+                _xorshift(h, out, out)
+            else:
+                out[...] = h
             lo += h.size
         return mixed.reshape(items.shape)
 

@@ -24,6 +24,7 @@ in int64 before they are written back, so no check sees a wrapped value.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict
 
 import numpy as np
@@ -70,6 +71,16 @@ def weighted_row_similarity(
     return float((max_cm * sign_gated_ratios(c_a, c_b)).sum()) / denom
 
 
+def _integer(item) -> int:
+    """``item`` as a Python int; a float or a bool raises ``TypeError``."""
+    if not isinstance(item, bool):
+        try:
+            return operator.index(item)
+        except TypeError:
+            pass
+    raise TypeError(f"item ids must be integers, got {type(item).__name__} {item!r}")
+
+
 class _Sketch:
     """What all eight sketches share: the master seed and its hash family,
     the count of inserted arrivals, a single-item insert over
@@ -86,12 +97,16 @@ class _Sketch:
         self.total_inserted = 0
 
     def insert(self, item: ItemId) -> None:
-        self.insert_many(np.array([item], dtype=np.uint64))
+        self.insert_many([item])
 
     @staticmethod
     def _item_ids(items) -> np.ndarray:
-        """``items`` as uint64 ids; a non-integer array is refused: a cast would truncate it."""
-        if np.size(items) and getattr(items, "dtype", np.dtype(np.uint64)).kind not in "iu":
+        """``items`` as uint64 ids. Non-integers are refused, since a cast
+        would truncate them. An array is judged by its dtype; a list or a
+        scalar item by item, since numpy would cast them before any check."""
+        if not hasattr(items, "dtype"):
+            items = [_integer(x) for x in items] if np.iterable(items) else _integer(items)
+        elif np.size(items) and items.dtype.kind not in "iu":
             raise TypeError(f"item ids must be integers, got an array of dtype {items.dtype}")
         return np.ascontiguousarray(items, dtype=np.uint64)
 

@@ -1,6 +1,25 @@
 import numpy as np
 
+from sketchsim.hashing import MASK64, HashFamily, HashKind
 from sketchsim.oracle import ExactMultiset
+
+_MIX_A_INV = pow(0xFF51AFD7ED558CCD, -1, 1 << 64)
+_MIX_B_INV = pow(0xC4CEB9FE1A85EC53, -1, 1 << 64)
+
+
+def unmix64(x: int) -> int:
+    """Inverse of ``mix64``: each xorshift by 33 undoes itself."""
+    x ^= x >> 33
+    x = (x * _MIX_B_INV) & MASK64
+    x ^= x >> 33
+    x = (x * _MIX_A_INV) & MASK64
+    x ^= x >> 33
+    return x
+
+
+def item_with_hash(fam: HashFamily, kind: HashKind, row: int, h: int) -> int:
+    """The item whose (kind, row) hash is ``h``."""
+    return unmix64(unmix64(h) ^ fam.row_seed(kind, row))
 
 
 def find_seed(pred, limit=20000, start=0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import multiset_of, random_stream_pair
+from conftest import item_with_hash, multiset_of, random_stream_pair
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from sketchsim.baselines import (
     expand_exact_ids,
     occurrence_numbers,
 )
-from sketchsim.hashing import HashFamily
+from sketchsim.hashing import HashKind
 from sketchsim.oracle import ExactMultiset
 
 
@@ -234,17 +234,17 @@ class TestHll:
         assert b.registers.tolist() == expected
 
     @pytest.mark.parametrize("m_bits", [4, 10])
-    def test_insert_many_rank_exact_past_53_value_bits(self, monkeypatch, m_bits):
+    def test_insert_many_rank_exact_past_53_value_bits(self, m_bits):
         # Float64 rounds these remainders up to the next power of two,
         # which would overstate their bit length by one.
         value_bits = 64 - m_bits
         top = 1 << value_bits
         rests = [top - 1, top - 2, (1 << 54) - 1, (1 << 53) + 1, 1 << 53, 3, 1, 0]
         hashes = [(bucket << value_bits) | rest for bucket, rest in enumerate(rests)]
-        crafted = np.array(hashes, dtype=np.uint64)
-        monkeypatch.setattr(HashFamily, "bit_hash_many", lambda self, items, bits: crafted)
         s = HllSketch(m_bits=m_bits, master_seed=1)
-        s.insert_many(np.arange(len(hashes), dtype=np.uint64))
+        items = [item_with_hash(s.hash, HashKind.BIT, 0, h) for h in hashes]
+        assert [s.hash.bit_hash(x, 64) for x in items] == hashes
+        s.insert_many(items)
         expected = [value_bits - rest.bit_length() + 1 for rest in rests]
         assert s.registers[: len(rests)].tolist() == expected
 

@@ -4,16 +4,28 @@
 items. The grid sketches, MinHash and MaxLogHash consume it directly;
 here each of them must equal a reference built from the per-row
 ``*_many`` methods, on batch lengths on both sides of chunk boundaries.
+The pass yields SIGN and UNIT hashes open, and MaxLogHash reads them
+open, so crafted unit hashes pin its reading on both sides of 2**31 and
+where the closing step swaps two hashes.
 The ``*_many`` methods themselves are checked against the scalar hashes
 at the same lengths.
 """
 
 import numpy as np
 import pytest
+from conftest import item_with_hash, unmix64
 
 from sketchsim.baselines import MaxLogHashSketch, MinHashSketch
 from sketchsim.core import SketchParams
-from sketchsim.hashing import HASH_CHUNK, MASK64, HashFamily, HashKind, mix64
+from sketchsim.hashing import (
+    HASH_CHUNK,
+    MASK64,
+    OPEN_KINDS,
+    HashFamily,
+    HashKind,
+    close_hash,
+    mix64,
+)
 from sketchsim.sketches import (
     CmSimilaritySketch,
     CountSimilaritySketch,
@@ -21,25 +33,6 @@ from sketchsim.sketches import (
 )
 
 LENGTHS = (HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1, 3 * HASH_CHUNK + 5)
-
-_MIX_A_INV = pow(0xFF51AFD7ED558CCD, -1, 1 << 64)
-_MIX_B_INV = pow(0xC4CEB9FE1A85EC53, -1, 1 << 64)
-
-
-def unmix64(x: int) -> int:
-    """Inverse of ``mix64``: each xorshift by 33 undoes itself."""
-    x ^= x >> 33
-    x = (x * _MIX_B_INV) & MASK64
-    x ^= x >> 33
-    x = (x * _MIX_A_INV) & MASK64
-    x ^= x >> 33
-    return x
-
-
-def item_with_hash(fam: HashFamily, kind: HashKind, row: int, h: int) -> int:
-    """The item whose (kind, row) hash is ``h``."""
-    return unmix64(unmix64(h) ^ fam.row_seed(kind, row))
-
 
 def items_of(n, seed, universe=1 << 63):
     return np.random.default_rng(seed).integers(0, universe, size=n, dtype=np.uint64)
@@ -79,6 +72,21 @@ class TestVectorHashesAcrossChunks:
         seen = [(row, len(h), len(s)) for row, (h, s) in steps]
         full = HASH_CHUNK
         assert seen == [(0, full, full), (1, full, full), (0, 3, 3), (1, 3, 3)]
+
+    @pytest.mark.parametrize("kind", list(HashKind))
+    def test_open_kinds_keep_bits_63_to_31_and_close_to_the_full_hash(self, kind):
+        fam = HashFamily(master_seed=8, rows=2)
+        items = items_of(HASH_CHUNK + 3, seed=2)
+        full = fam._mixed_many(items, kind, 1)
+        for i in (0, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 2):
+            assert full[i] == fam._mixed(int(items[i]), kind, 1)
+        steps = fam.chunk_hashes(items, (kind,), rows=(1,))
+        got = np.concatenate([h.copy() for _, (h,) in steps])
+        assert (got >> np.uint64(31) == full >> np.uint64(31)).all()
+        if kind in OPEN_KINDS:
+            assert (got != full).any()
+            close_hash(got, np.empty_like(got))
+        assert (got == full).all()
 
     def test_chunk_hashes_rejects_a_bad_row(self):
         fam = HashFamily(master_seed=4, rows=2)
@@ -188,6 +196,30 @@ class TestMaxLogHashAcrossChunks:
         self.check(s, [items])
         assert s.maxlogs[0] == 53
         assert s.unique_flags[0] == (count == 1)
+
+    @pytest.mark.parametrize("order", [(2**31, 2**31 - 1), (2**31 - 1, 2**31)])
+    def test_least_hash_on_both_sides_of_2_31(self, order):
+        # The pass yields unit hashes open. A least hash of 2**31 is read
+        # by its bits 63..31, which the closing step keeps; 2**31 - 1 by
+        # all its bits, which it does not change below 2**33. Rank 33
+        # belongs to 2**31 - 1, rank 32 to 2**31.
+        positions = (HASH_CHUNK - 3, HASH_CHUNK + 4)
+        s, items = self.crafted(seed=14, row_hashes=list(zip(positions, order)))
+        self.check(s, [items])
+        assert s.maxlogs[0] == 33
+        assert s.unique_flags[0]
+
+    @pytest.mark.parametrize("pos", [7, HASH_CHUNK + 7])
+    def test_tie_whose_order_the_closing_step_swaps(self, pos):
+        # Both hashes sit in the 2**31-block starting at 2**33, and open
+        # they swap order: 2**33 opens to 2**33 + 1, and 2**33 + 1 to
+        # 2**33. Both have rank 30, so the top rank is tied.
+        c = 1 << 33
+        assert c ^ (c >> 33) == c + 1
+        s, items = self.crafted(seed=15, row_hashes=[(3, c + 1), (pos, c)])
+        self.check(s, [items])
+        assert s.maxlogs[0] == 30
+        assert not s.unique_flags[0]
 
     @pytest.mark.parametrize("n", [1, HASH_CHUNK + 1])
     def test_rank_0_edge(self, n):

@@ -6,7 +6,8 @@ insert or merge that would pass a field's range changes nothing, no
 sketch's state, whether a counter grid or a set baseline, depends
 on how a stream is cut into batches, sketches of different types refuse
 to compare, two empty sketches have no similarity, and one empty side
-estimates 0. Every sketch refuses item arrays that are not integers.
+estimates 0. Every sketch refuses item ids that are not integers, whether
+they come as an array, a list or a scalar.
 """
 
 import itertools
@@ -235,6 +236,30 @@ class TestGridHoldsItsBudget:
         assert peak < bins * 8 + (2 << 20), f"peak {peak} bytes for a {bins * 8}-byte buffer"
 
 
+class TestSetBaselinesHoldNoBatchArray:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MinHashSketch(k=4, master_seed=1),
+            lambda: MaxLogHashSketch(k=4, master_seed=1),
+            lambda: HllSketch(master_seed=1),
+        ],
+        ids=["minhash", "maxloghash", "hll"],
+    )
+    def test_insert_peak_stays_below_4_mib(self, make):
+        # 2M ids are 16 MiB; the hashing pass works on fixed chunks, so
+        # the peak is a few chunk buffers however long the batch is.
+        s = make()
+        items = np.random.default_rng(0).integers(0, 1 << 63, size=2_000_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            s.insert_many(items)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, f"peak {peak} bytes for a {items.nbytes}-byte batch"
+
+
 class TestGridRange:
     @pytest.mark.parametrize("cls,field,sign", FIELD_CAPS)
     @pytest.mark.parametrize("width", [4, HASH_CHUNK])
@@ -300,6 +325,32 @@ class TestItemIds:
         with pytest.raises(TypeError, match=str(BAD_ITEMS[kind].dtype)):
             s.insert_many(BAD_ITEMS[kind])
         assert pickle.dumps(s) == pickle.dumps(twin)
+
+    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, np.float64(1.5), np.True_])
+    @pytest.mark.parametrize("form", ["scalar", "list element"])
+    def test_non_integer_scalars_and_list_elements_are_refused(self, name, bad, form):
+        # A cast to uint64 would truncate them: 1.5 would count as 1.
+        s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
+        s.insert_many([1, 2])
+        twin.insert_many([1, 2])
+        with pytest.raises(TypeError, match="integers"):
+            if form == "scalar":
+                s.insert(bad)
+            else:
+                s.insert_many([3, bad, 4])
+        assert pickle.dumps(s) == pickle.dumps(twin)
+
+    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    def test_integer_scalars_still_work(self, name):
+        ids = [1, (1 << 63) + 7, (1 << 64) - 1]
+        reference = ALL_SKETCHES[name]()
+        reference.insert_many(np.array(ids, dtype=np.uint64))
+        for scalars in (ids, [np.uint64(x) for x in ids]):
+            s = ALL_SKETCHES[name]()
+            for x in scalars:
+                s.insert(x)
+            assert pickle.dumps(s) == pickle.dumps(reference)
 
     @pytest.mark.parametrize("name", list(ALL_SKETCHES))
     def test_integer_lists_views_and_empty_batches_still_work(self, name):
