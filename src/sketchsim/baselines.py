@@ -11,7 +11,8 @@ offered because either may feed the benchmark). Each has a streaming
 form over :class:`OccurrenceItem` and a vector form straight to 64-bit
 ids (``expand_exact_ids``, ``expand_cm_ids``) that gives the same ids.
 Both vector forms number occurrences with ``occurrence_numbers``, which
-sorts twice without a stable sort.
+sorts twice without a stable sort, and write each id over the
+occurrence number it is made from, one hashing chunk at a time.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -53,7 +54,7 @@ from sketchsim.hashing import (
     HashKind,
     close_hash,
     mix64,
-    mix64_array,
+    mix64_into,
 )
 from sketchsim.sketches import _Sketch
 
@@ -97,41 +98,62 @@ def occurrence_numbers(items: np.ndarray) -> np.ndarray:
     array up to and including the position.
 
     Two unstable sorts stand in for one stable argsort, which is slower:
-    the first groups equal values, and a sort of the unique keys
-    ``group·n + position`` then puts each group back in arrival order.
-    The keys stay below n², which fits in int64 below 3·10⁹ items.
+    the first groups equal values into runs, and a sort of the unique
+    keys ``run·n + position``, where ``run`` is the sorted slot at which
+    a value's run starts, then puts each run back in arrival order. The
+    keys stay below n², which fits in int64 below 3·10⁹ items. Besides
+    the result, only the order and the run starts are as long as the
+    array; the rest works a chunk at a time.
     """
     items = np.asarray(items, dtype=np.uint64)
     n = len(items)
     order = np.argsort(items)
-    new_group = np.ones(n, dtype=bool)
-    sorted_items = items[order]
-    np.not_equal(sorted_items[1:], sorted_items[:-1], out=new_group[1:])
-    del sorted_items
-    group = np.cumsum(new_group)
-    group -= 1
-    # Rank within the run of equal values: sorted position minus the
-    # run's start, plus one.
-    ranks = np.arange(1, n + 1)
-    ranks -= np.flatnonzero(new_group)[group]
-    # Sorting the keys group·n + position keeps each group's slots and
-    # puts its positions in arrival order. In place, so the expansion
-    # holds no more full-length temporaries than the stable form did.
-    group *= n
-    order += group
+    run = np.empty(n, dtype=np.int64)
+    start, last = 0, None
+    for lo in range(0, n, HASH_CHUNK):
+        out, slots = run[lo : lo + HASH_CHUNK], order[lo : lo + HASH_CHUNK]
+        values = items[slots]
+        # A run starts where a sorted value differs from the one before it.
+        new = np.empty(len(values), dtype=bool)
+        new[0] = lo == 0 or values[0] != last
+        np.not_equal(values[1:], values[:-1], out=new[1:])
+        out.fill(start)
+        np.copyto(out, np.arange(lo, lo + len(out)), where=new)
+        np.maximum.accumulate(out, out=out)
+        start, last = out[-1], values[-1]
+        slots += out * n
+    # Each run keeps its slots, so run[i] still names slot i's run.
     order.sort()
-    order -= group
-    del group
+    for lo in range(0, n, HASH_CHUNK):
+        out = run[lo : lo + HASH_CHUNK]
+        order[lo : lo + HASH_CHUNK] -= out * n
+        # The rank within the run: slot minus the run's start, plus one.
+        np.subtract(np.arange(lo + 1, lo + 1 + len(out)), out, out=out)
     occ = np.empty(n, dtype=np.int64)
-    occ[order] = ranks
+    occ[order] = run
+    return occ
+
+
+def _occurrence_ids(items: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """``mix64(mix64(items) ^ occ)``, written over the uint64 array ``occ``.
+
+    It works in steps of ``HASH_CHUNK`` items, so only two chunk buffers
+    are allocated.
+    """
+    size = min(len(occ), HASH_CHUNK)
+    premix, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    for lo in range(0, len(occ), HASH_CHUNK):
+        out = occ[lo : lo + HASH_CHUNK]
+        n = len(out)
+        out ^= mix64_into(items[lo : lo + n], premix[:n], scratch[:n])
+        mix64_into(out, out, scratch[:n])
     return occ
 
 
 def expand_exact_ids(items: np.ndarray) -> np.ndarray:
     """Exact occurrence expansion straight to combined 64-bit ids."""
     items = np.asarray(items, dtype=np.uint64)
-    occ = occurrence_numbers(items).astype(np.uint64)
-    return mix64_array(mix64_array(items) ^ occ)
+    return _occurrence_ids(items, occurrence_numbers(items).view(np.uint64))
 
 
 def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
@@ -143,14 +165,13 @@ def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
     """
     items = np.asarray(items, dtype=np.uint64)
     family = HashFamily(cm_params.master_seed, cm_params.rows)
-    occ = np.min(
-        [
-            occurrence_numbers(family.index_hash_many(items, row, cm_params.width))
-            for row in range(cm_params.rows)
-        ],
-        axis=0,
-    ).astype(np.uint64)
-    return mix64_array(mix64_array(items) ^ occ)
+    occ = None
+    for row in range(cm_params.rows):
+        buckets = family.index_hash_many(items, row, cm_params.width).view(np.uint64)
+        row_occ = occurrence_numbers(buckets)
+        del buckets
+        occ = row_occ if occ is None else np.minimum(occ, row_occ, out=occ)
+    return _occurrence_ids(items, occ.view(np.uint64))
 
 
 class CmFrequencySketch:

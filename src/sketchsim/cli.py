@@ -32,7 +32,7 @@ from sketchsim.invariants import CHECKS
 
 def _write_binary(path: str, stream: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(stream.astype("<u8").tobytes())
+        stream.astype("<u8", copy=False).tofile(fh)
 
 
 def _cmd_gen_zipf(args: argparse.Namespace) -> int:

@@ -4,11 +4,16 @@
 uniforms in chunks of ``ZIPF_CHUNK``, which yields the same doubles as
 one draw of the whole length, and maps each through a guide table
 (Chen & Asau, 1974) of a power-of-two number of equal-width buckets.
-A uniform whose bucket holds at most one CDF entry is resolved by one
-comparison; the others fall back to a binary search. Both give exactly
-the index ``np.searchsorted(cdf, u, side="right")`` would, so the
-stream depends on the seed alone, and no temporary is longer than a
-chunk or the table.
+The table is built by counting how many CDF entries fall at or below
+each bucket's left end, which is exact because that number of buckets
+is a power of two. A uniform whose bucket holds at most one CDF entry is
+resolved by one comparison; the others fall back to a binary search.
+Both give exactly the index ``np.searchsorted(cdf, u, side="right")``
+would, so the stream depends on the seed alone, and no temporary is
+longer than a chunk or the table.
+
+``random_split`` walks its uniforms in the same chunks, so it too holds
+nothing longer than a chunk apart from its outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from sketchsim.hashing import mix64, mix64_array
 
-# Uniforms drawn and mapped per step of zipf_stream.
+# Uniforms drawn per step of zipf_stream and random_split.
 ZIPF_CHUNK = 1 << 16
 
 
@@ -68,10 +73,10 @@ def zipf_stream(spec: ZipfSpec) -> np.ndarray:
     # At least 2·n_distinct buckets leave nearly every one holding at
     # most one CDF entry; start[j] = -1 marks those holding more.
     m = 1 << (2 * spec.n_distinct - 1).bit_length()
-    bounds = np.arange(m + 1, dtype=np.float64)
-    bounds /= m
-    edges = np.searchsorted(cdf, bounds, side="right")
-    del bounds
+    # edges[j] counts the entries c <= j/m, that is those with
+    # ceil(c·m) <= j: a running sum of how many entries have each ceiling.
+    edges = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1)
+    np.cumsum(edges, out=edges)
     start = edges[:-1]
     start[np.diff(edges) > 1] = -1
     rng = np.random.default_rng(spec.seed)
@@ -105,9 +110,28 @@ def random_split(
 
     Order is preserved within each output, and the two outputs partition
     the input: their multiset sum equals the input multiset exactly.
+    Element i goes first when the i-th uniform drawn with ``seed`` is
+    below p. The draws are walked twice in chunks of ``ZIPF_CHUNK``,
+    which yields the same doubles as one full-length draw: once to size
+    the two outputs, then again to fill them, so apart from the outputs
+    no temporary is longer than a chunk.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     stream = np.asarray(stream, dtype=np.uint64)
-    mask = np.random.default_rng(seed).random(stream.shape[0]) < p
-    return stream[mask], stream[~mask]
+    n = len(stream)
+    starts = range(0, n, ZIPF_CHUNK)
+    rng = np.random.default_rng(seed)
+    counts = [np.count_nonzero(rng.random(min(ZIPF_CHUNK, n - lo)) < p) for lo in starts]
+    first = np.empty(sum(counts), dtype=np.uint64)
+    second = np.empty(n - len(first), dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    i = 0
+    for lo, k in zip(starts, counts):
+        chunk = stream[lo : lo + ZIPF_CHUNK]
+        mask = rng.random(len(chunk)) < p
+        first[i : i + k] = chunk[mask]
+        # The lo - i elements before this chunk that are not first are second.
+        second[lo - i : lo - i + len(chunk) - k] = chunk[~mask]
+        i += k
+    return first, second

@@ -78,25 +78,36 @@ def close_hash(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return _xorshift(h, h, scratch)
 
 
+def mix64_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``out = mix64(x)`` over uint64 arrays of one length; ``out`` may be ``x``.
+
+    ``scratch`` takes the shifted values, so nothing is allocated.
+    """
+    _xorshift(x, out, scratch)
+    out *= _UMIX_A
+    _xorshift(out, out, scratch)
+    out *= _UMIX_B
+    return _xorshift(out, out, scratch)
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array. Returns a new array."""
     x = np.array(x, dtype=np.uint64)
-    scratch = np.empty_like(x)
-    _xorshift(x, x, scratch)
-    x *= _UMIX_A
-    _xorshift(x, x, scratch)
-    x *= _UMIX_B
-    return _xorshift(x, x, scratch)
+    return mix64_into(x, x, np.empty_like(x))
 
 
 def bucket_of(h: np.ndarray, width: int) -> np.ndarray:
     """``h % width`` written over the uint64 array ``h``.
 
-    Spelled as ``h - (h // width) * width``: numpy divides by a scalar
+    A power-of-two width keeps the low bits with one ``&``. Any other is
+    spelled as ``h - (h // width) * width``: numpy divides by a scalar
     with a precomputed multiply, about three times faster than its
     ``%``, and every step is exact in uint64.
     """
     w = np.uint64(width)
+    if width & (width - 1) == 0:
+        h &= w - np.uint64(1)
+        return h
     quotient = h // w
     quotient *= w
     h -= quotient

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from sketchsim.hashing import MASK64, HashFamily, HashKind
@@ -43,3 +45,17 @@ def random_stream_pair(rng, n_a, n_b, universe=64, id_offset=10_000):
     a = rng.integers(0, universe, size=n_a).astype(np.uint64) + id_offset
     b = rng.integers(0, universe, size=n_b).astype(np.uint64) + id_offset
     return a, b
+
+
+def traced_peak(fn, *args):
+    """``(peak, result)``: the most bytes ``fn(*args)`` held at once, and what it returned.
+
+    Only allocations made during the call count, so the arguments are not.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from sketchsim import invariants
-from sketchsim.cli import main
+from sketchsim.cli import _write_binary, main
 from sketchsim.core import Algo
 from sketchsim.harness import CSV_HEADER, ExperimentConfig, _datasets, read_stream
 
@@ -82,6 +83,13 @@ class TestGenZipf:
                 ]
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_binary_write_copies_nothing(self, tmp_path):
+        path = tmp_path / "s.bin"
+        stream = np.arange(1 << 20, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        peak, _ = traced_peak(_write_binary, str(path), stream)
+        assert path.read_bytes() == stream.astype("<u8").tobytes()
+        assert peak < stream.nbytes // 8, f"peak {peak} bytes for {stream.nbytes} bytes written"
 
 
 class TestEstimate:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from sketchsim.hashing import MASK64, HashFamily, HashKind, mix64, mix64_array
+from sketchsim.hashing import MASK64, HashFamily, HashKind, bucket_of, mix64, mix64_array
 
 item_ids = st.integers(min_value=0, max_value=MASK64)
 
@@ -134,6 +134,22 @@ class TestIndexHash:
         vec = fam.index_hash_many(items, 2, 1000)
         for i in range(0, 999, 83):
             assert int(vec[i]) == fam.index_hash(int(items[i]), 2, 1000)
+
+
+class TestBucketOf:
+    @pytest.mark.parametrize(
+        "width",
+        [1, 2, 3, 5, 7, 8, 9, 1023, 1024, 1025, 1280, 8191, 8192, 8193]
+        + [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1],
+    )
+    def test_matches_modulo(self, width):
+        h = np.random.default_rng(width % 997).integers(0, 1 << 64, size=4096, dtype=np.uint64)
+        h[:4] = [0, 1, MASK64 - 1, MASK64]
+        want = h % np.uint64(width)
+        got = bucket_of(h.copy(), width)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+        assert [int(x) % width for x in h[:4]] == got[:4].tolist()
 
 
 class TestSignHash:

@@ -5,10 +5,10 @@ and reads from a pipe."""
 import hashlib
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from sketchsim import harness
 from sketchsim.harness import StreamFormatError, read_stream, token_id
@@ -252,12 +252,7 @@ def test_result_is_an_owned_writable_array(tmp_path):
 def test_memory_is_bounded_by_the_block(tmp_path):
     path = tmp_path / "three.txt"
     path.write_text("alpha\nbeta\ngamma\n" * 100_000)
-    tracemalloc.start()
-    try:
-        got = read_stream(str(path), "text")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, got = traced_peak(read_stream, str(path), "text")
     assert got.size == 300_000
     # The result grows in place, so the read never holds a second copy of it.
     assert peak < 1.6 * got.nbytes, f"peak {peak} bytes for {got.nbytes} bytes of ids"

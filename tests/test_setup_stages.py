@@ -2,20 +2,25 @@
 
 Each stage is checked against the simpler form it replaced, kept here as
 the reference: Zipf sampling against a full-length ``searchsorted``
-inversion, ``multiset_jaccard`` against ``ExactMultiset``, and
-``occurrence_numbers`` against a stable argsort.
+inversion, the split against one full-length draw and mask,
+``multiset_jaccard`` against ``ExactMultiset``, ``occurrence_numbers``
+against a stable argsort, and the expansion adapters against their
+full-length ``mix64_array`` form. The split and the exact expansion are
+also held to bounds on the memory they allocate.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sketchsim.baselines import occurrence_numbers
-from sketchsim.core import UndefinedSimilarityError
-from sketchsim.datagen import ZIPF_CHUNK, ZipfSpec, rank_ids, zipf_stream
+from sketchsim.baselines import expand_cm_ids, expand_exact_ids, occurrence_numbers
+from sketchsim.core import SketchParams, UndefinedSimilarityError
+from sketchsim.datagen import ZIPF_CHUNK, ZipfSpec, random_split, rank_ids, zipf_stream
+from sketchsim.hashing import HASH_CHUNK, HashFamily, mix64_array
 from sketchsim.oracle import ExactMultiset, multiset_jaccard
 
 
@@ -25,6 +30,11 @@ def reference_zipf_stream(spec: ZipfSpec) -> np.ndarray:
     cdf /= cdf[-1]
     uniforms = np.random.default_rng(spec.seed).random(spec.n_items)
     return rank_ids(spec.n_distinct)[np.searchsorted(cdf, uniforms, side="right")]
+
+
+def reference_random_split(stream: np.ndarray, p: float, seed: int):
+    mask = np.random.default_rng(seed).random(len(stream)) < p
+    return stream[mask], stream[~mask]
 
 
 def reference_occurrence_numbers(items: np.ndarray) -> np.ndarray:
@@ -37,6 +47,10 @@ def reference_occurrence_numbers(items: np.ndarray) -> np.ndarray:
     occ = np.empty(len(items), dtype=np.int64)
     occ[order] = np.arange(len(items)) - group_starts + 1
     return occ
+
+
+def reference_occurrence_ids(items: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    return mix64_array(mix64_array(items) ^ occ.astype(np.uint64))
 
 
 def reference_jaccard(a, b) -> float:
@@ -64,6 +78,26 @@ class TestZipfSampler:
         # so a long stream draws many uniforms that need the binary search.
         spec = ZipfSpec(4 * ZIPF_CHUNK, 50_000, 3.0, 11)
         assert np.array_equal(zipf_stream(spec), reference_zipf_stream(spec))
+
+
+class TestRandomSplit:
+    @pytest.mark.parametrize(
+        "n", [0, 1, ZIPF_CHUNK - 1, ZIPF_CHUNK + 1, 3 * ZIPF_CHUNK + 12_345]
+    )
+    @pytest.mark.parametrize("p", [1e-12, 0.3, 1 - 1e-12])
+    def test_matches_one_full_length_draw(self, n, p):
+        stream = np.random.default_rng(n).integers(0, 1 << 64, size=n, dtype=np.uint64)
+        got = random_split(stream, p, seed=n + 5)
+        for side, want in zip(got, reference_random_split(stream, p, seed=n + 5)):
+            assert side.dtype == np.uint64
+            assert np.array_equal(side, want)
+
+    def test_holds_only_its_outputs(self):
+        stream = zipf_stream(ZipfSpec(1_000_000, 100_000, 0.6, 1))
+        peak, (first, second) = traced_peak(random_split, stream, 0.5, 3)
+        outputs = first.nbytes + second.nbytes
+        # Beyond the two outputs, a chunk's uniforms, mask and selection.
+        assert peak < outputs + (1 << 20), f"peak {peak} bytes for {outputs} bytes of outputs"
 
 
 def _pool_streams():
@@ -132,3 +166,37 @@ class TestOccurrenceNumbers:
             0, universe, size=300_000, dtype=np.uint64
         )
         assert np.array_equal(occurrence_numbers(items), reference_occurrence_numbers(items))
+
+
+class TestExpansion:
+    def test_exact_ids_match_the_full_length_form(self):
+        # Several hashing chunks, with a partial one at the end.
+        items = zipf_stream(ZipfSpec(3 * HASH_CHUNK + 77, 5_000, 0.8, 5))
+        want = reference_occurrence_ids(items, reference_occurrence_numbers(items))
+        assert np.array_equal(expand_exact_ids(items), want)
+
+    @pytest.mark.parametrize("rows,width", [(1, 8192), (2, 8192), (3, 1000)])
+    def test_cm_ids_match_the_full_length_form(self, rows, width):
+        items = zipf_stream(ZipfSpec(3 * HASH_CHUNK + 77, 20_000, 0.6, 6))
+        params = SketchParams(rows=rows, width=width, master_seed=9)
+        family = HashFamily(9, rows)
+        occ = np.min(
+            [
+                reference_occurrence_numbers(family.index_hash_many(items, row, width))
+                for row in range(rows)
+            ],
+            axis=0,
+        )
+        assert np.array_equal(expand_cm_ids(items, params), reference_occurrence_ids(items, occ))
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["zipf", "distinct"])
+    def test_exact_expansion_holds_under_3_5_batches(self, distinct):
+        if distinct:
+            items = np.random.default_rng(3).integers(0, 1 << 64, size=500_000, dtype=np.uint64)
+        else:
+            items = zipf_stream(ZipfSpec(500_000, 50_000, 0.6, 2))
+        peak, ids = traced_peak(expand_exact_ids, items)
+        # The result, the sort order, the run starts and a few chunk
+        # buffers, however many values are distinct.
+        assert ids.nbytes == items.nbytes
+        assert peak < 3.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"

@@ -12,10 +12,10 @@ they come as an array, a list or a scalar.
 
 import itertools
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,12 +226,7 @@ class TestGridHoldsItsBudget:
         s = cls(params(1, width, seed=1))
         items = np.random.default_rng(0).integers(0, 1 << 63, size=200_000, dtype=np.uint64)
         bins = 2 * width if any(cls.FIELDS.values()) else width
-        tracemalloc.start()
-        try:
-            s.insert_many(items)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(s.insert_many, items)
         # The int64 count buffer, plus the hashing pass's chunk buffers.
         assert peak < bins * 8 + (2 << 20), f"peak {peak} bytes for a {bins * 8}-byte buffer"
 
@@ -251,12 +246,7 @@ class TestSetBaselinesHoldNoBatchArray:
         # the peak is a few chunk buffers however long the batch is.
         s = make()
         items = np.random.default_rng(0).integers(0, 1 << 63, size=2_000_000, dtype=np.uint64)
-        tracemalloc.start()
-        try:
-            s.insert_many(items)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(s.insert_many, items)
         assert peak < 4 << 20, f"peak {peak} bytes for a {items.nbytes}-byte batch"
 
 
