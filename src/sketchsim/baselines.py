@@ -22,11 +22,13 @@ MinHash, MaxLogHash and HLL insert through the chunked hashing pass,
 The pass yields unit hashes open (see ``sketchsim.hashing``): MinHash
 closes each chunk itself, and MaxLogHash reads them open.
 
-The baselines share the counter sketches' base, ``sketches._Sketch``:
-seed and hash family, ``total_inserted``, single-item ``insert``,
-``is_empty``, and the checks before a comparison, which raise
+The baselines share the counter sketches' base, ``sketches._Sketch``,
+which runs ``insert_many`` and ``estimate_jaccard`` around each one's
+``_insert`` and ``_jaccard``: the id rule ``core.item_ids``, the count
+of arrivals, the checks before a comparison, which raise
 ``IncompatibleSketchError`` across types, sizes or seeds and
-``UndefinedSimilarityError`` for two empty sketches. ``from_budget`` ignores
+``UndefinedSimilarityError`` for two empty sketches, the 0.0 of one
+empty side, and the clamp. ``from_budget`` ignores
 ``rows`` and gives MinHash and MaxLogHash ``k = max(1, memory_bytes //
 8)`` registers, DotHash as many coordinates, and HLL ``m_bits``, the
 largest m with 2**m <= memory_bytes, clamped to [4, 26].
@@ -39,14 +41,7 @@ from typing import Dict, Iterable, Iterator
 
 import numpy as np
 
-from sketchsim.core import (
-    Algo,
-    DegenerateEstimateError,
-    ItemId,
-    JaccardEstimate,
-    SketchParams,
-    clamped_estimate,
-)
+from sketchsim.core import Algo, DegenerateEstimateError, ItemId, SketchParams, item_ids
 from sketchsim.hashing import (
     HASH_CHUNK,
     MASK64,
@@ -122,6 +117,9 @@ def occurrence_numbers(items: np.ndarray) -> np.ndarray:
         np.maximum.accumulate(out, out=out)
         start, last = out[-1], values[-1]
         slots += out * n
+    # Dropped before the sort and the scatter allocate, so that values a
+    # caller passed unnamed are freed here (values is unbound at n = 0).
+    items = values = None
     # Each run keeps its slots, so run[i] still names slot i's run.
     order.sort()
     for lo in range(0, n, HASH_CHUNK):
@@ -152,7 +150,7 @@ def _occurrence_ids(items: np.ndarray, occ: np.ndarray) -> np.ndarray:
 
 def expand_exact_ids(items: np.ndarray) -> np.ndarray:
     """Exact occurrence expansion straight to combined 64-bit ids."""
-    items = np.asarray(items, dtype=np.uint64)
+    items = item_ids(items)
     return _occurrence_ids(items, occurrence_numbers(items).view(np.uint64))
 
 
@@ -163,13 +161,14 @@ def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
     bucket, so its occurrence number is the minimum over rows of the
     bucket sequence's exact occurrence numbers.
     """
-    items = np.asarray(items, dtype=np.uint64)
+    items = item_ids(items)
     family = HashFamily(cm_params.master_seed, cm_params.rows)
     occ = None
     for row in range(cm_params.rows):
-        buckets = family.index_hash_many(items, row, cm_params.width).view(np.uint64)
-        row_occ = occurrence_numbers(buckets)
-        del buckets
+        # Unnamed, the buckets die in occurrence_numbers: one batch fewer at its peak.
+        row_occ = occurrence_numbers(
+            family.index_hash_many(items, row, cm_params.width).view(np.uint64)
+        )
         occ = row_occ if occ is None else np.minimum(occ, row_occ, out=occ)
     return _occurrence_ids(items, occ.view(np.uint64))
 
@@ -237,10 +236,7 @@ class MinHashSketch(_SetSketch):
         self.k = k
         self.mins = np.full(k, np.inf, dtype=np.float64)
 
-    def insert_many(self, items) -> None:
-        items = self._item_ids(items)
-        if items.size == 0:
-            return
+    def _insert(self, items: np.ndarray) -> None:
         # The unit hash is monotone in the raw hash, so the batch minimum
         # is taken over raw hashes and converted once, exactly. The pass
         # yields them open; each chunk is closed in a reused buffer.
@@ -251,13 +247,10 @@ class MinHashSketch(_SetSketch):
             lows[row] = min(lows[row], h.min())
         lows >>= np.uint64(12)
         np.minimum(self.mins, (lows.astype(np.float64) + 0.5) * 2.0**-52, out=self.mins)
-        self.total_inserted += items.size
 
-    def estimate_jaccard(self, other: "MinHashSketch") -> JaccardEstimate:
+    def _jaccard(self, other: "MinHashSketch") -> float:
         """Fraction of rows whose minima coincide; unbiased for set J."""
-        self._check_estimable(other)
-        matches = int(np.count_nonzero(self.mins == other.mins))
-        return clamped_estimate(matches / self.k, self.ALGO)
+        return int(np.count_nonzero(self.mins == other.mins)) / self.k
 
 
 # -- HyperLogLog -------------------------------------------------------
@@ -305,10 +298,7 @@ class HllSketch(_SetSketch):
     def alpha(self) -> float:
         return ALPHA_INF / (1.0 + ALPHA_INF / self.n_registers)
 
-    def insert_many(self, items) -> None:
-        items = self._item_ids(items)
-        if items.size == 0:
-            return
+    def _insert(self, items: np.ndarray) -> None:
         # Chunk by chunk: the register maximum does not depend on the
         # order or the cut of the stream.
         value_bits = 64 - self.m_bits
@@ -317,7 +307,6 @@ class HllSketch(_SetSketch):
             h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
             rho = value_bits - _bit_length(h) + 1
             np.maximum.at(self.registers, buckets, rho.astype(np.uint8))
-        self.total_inserted += items.size
 
     def union(self, other: "HllSketch") -> "HllSketch":
         """Register-wise maximum: exactly the sketch of the union stream."""
@@ -338,14 +327,12 @@ class HllSketch(_SetSketch):
         in_range = 2.5 * l < estimate <= (1 << 32) / 30
         return CardinalityEstimate(value=estimate, in_range=in_range)
 
-    def estimate_jaccard(self, other: "HllSketch") -> JaccardEstimate:
+    def _jaccard(self, other: "HllSketch") -> float:
         """Inclusion-exclusion over cardinality estimates of a, b, a|b."""
-        self._check_estimable(other)
         card_a = self.cardinality().value
         card_b = other.cardinality().value
         card_union = self.union(other).cardinality().value
-        raw = (card_a + card_b - card_union) / card_union
-        return clamped_estimate(raw, self.ALGO)
+        return (card_a + card_b - card_union) / card_union
 
 
 # -- MaxLogHash --------------------------------------------------------
@@ -365,10 +352,7 @@ class MaxLogHashSketch(_SetSketch):
         self.maxlogs = np.full(k, -1, dtype=np.int64)
         self.unique_flags = np.ones(k, dtype=bool)
 
-    def insert_many(self, items) -> None:
-        items = self._item_ids(items)
-        if items.size == 0:
-            return
+    def _insert(self, items: np.ndarray) -> None:
         # Per chunk and row: the top rank belongs to the least 52-bit
         # value r = h >> 12 (rank 52 - bit_length(r), or 53 for r = 0),
         # and the items tying it are those with r < 2**bit_length. The
@@ -391,17 +375,14 @@ class MaxLogHashSketch(_SetSketch):
                 self.unique_flags[row] = int(np.count_nonzero(h < np.uint64(1 << length))) == 1
             elif top == a:
                 self.unique_flags[row] = False
-        self.total_inserted += items.size
 
-    def estimate_jaccard(self, other: "MaxLogHashSketch") -> JaccardEstimate:
+    def _jaccard(self, other: "MaxLogHashSketch") -> float:
         """1 minus the scaled count of rows whose unique maximum sits on
         one side only; those rows witness items outside the intersection.
-        One empty side shares no item, so it estimates 0: the formula would
-        count only the other side's unique rows, which fall short of k·α.
+        Both sides are non-empty here: with one empty side the formula
+        would count only the other's unique rows, short of k·α, so the
+        base estimates 0.0 before it is reached.
         """
-        self._check_estimable(other)
-        if self.is_empty() or other.is_empty():
-            return clamped_estimate(0.0, self.ALGO)
         differs = self.maxlogs != other.maxlogs
         self_wins = self.maxlogs > other.maxlogs
         other_wins = other.maxlogs > self.maxlogs
@@ -409,8 +390,7 @@ class MaxLogHashSketch(_SetSketch):
             other.unique_flags & other_wins
         ).astype(np.int64)
         delta = np.where(differs, phi, 0)
-        raw = 1.0 - float(delta.sum()) / (self.k * ALPHA_INF)
-        return clamped_estimate(raw, self.ALGO)
+        return 1.0 - float(delta.sum()) / (self.k * ALPHA_INF)
 
 
 # -- DotHash -----------------------------------------------------------
@@ -436,24 +416,21 @@ class DotHashSketch(_SetSketch):
         self.vec = np.zeros(d, dtype=np.float64)
         self._scale = 1.0 / np.sqrt(d)
 
-    def insert_many(self, items) -> None:
-        items = self._item_ids(items)
+    def _insert(self, items: np.ndarray) -> None:
         for item in items.tolist():
             mixed = self.hash.row_hashes(item, HashKind.SIGN)
             self.vec += np.where(mixed >> np.uint64(63), 1.0, -1.0) * self._scale
-        self.total_inserted += items.size
 
     def estimate_intersection(self, other: "DotHashSketch") -> float:
         self._check_compatible(other)
         return float(np.dot(self.vec, other.vec))
 
-    def estimate_jaccard(self, other: "DotHashSketch") -> JaccardEstimate:
+    def _jaccard(self, other: "DotHashSketch") -> float:
         """Inner-product intersection over inclusion-exclusion union.
 
         The set sizes are the insert counts, as each element of a set is
         inserted once.
         """
-        self._check_estimable(other)
         inter = self.estimate_intersection(other)
         denom = self.total_inserted + other.total_inserted - inter
         if denom <= 0:
@@ -461,4 +438,4 @@ class DotHashSketch(_SetSketch):
                 f"estimated union {denom} is not positive; d is too small "
                 f"for these set sizes"
             )
-        return clamped_estimate(inter / denom, self.ALGO)
+        return inter / denom

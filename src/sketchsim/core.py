@@ -10,11 +10,36 @@ memory-fair.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 ItemId = int
 """Opaque 64-bit item identifier. Ingestion hashes tokens / address pairs
 down to one of these; equality of ids is identity of items."""
+
+
+def _integer(item) -> int:
+    """``item`` as a Python int; a float or a bool raises ``TypeError``."""
+    if not isinstance(item, bool):
+        try:
+            return operator.index(item)
+        except TypeError:
+            pass
+    raise TypeError(f"item ids must be integers, got {type(item).__name__} {item!r}")
+
+
+def item_ids(items) -> np.ndarray:
+    """``items`` as contiguous uint64 ids: every entry point's one id rule.
+    Non-integers raise ``TypeError``, since a cast would truncate them. An
+    array is judged by its dtype, so an empty one of any dtype passes; a
+    list or a scalar item by item, since numpy would cast them unchecked."""
+    if not hasattr(items, "dtype"):
+        items = [_integer(x) for x in items] if np.iterable(items) else _integer(items)
+    elif np.size(items) and items.dtype.kind not in "iu":
+        raise TypeError(f"item ids must be integers, got an array of dtype {items.dtype}")
+    return np.ascontiguousarray(items, dtype=np.uint64)
 
 
 class SketchError(Exception):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sketchsim.core import item_ids
 from sketchsim.hashing import mix64, mix64_array
 
 # Uniforms drawn per step of zipf_stream and random_split.
@@ -118,7 +119,7 @@ def random_split(
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    stream = np.asarray(stream, dtype=np.uint64)
+    stream = item_ids(stream)
     n = len(stream)
     starts = range(0, n, ZIPF_CHUNK)
     rng = np.random.default_rng(seed)

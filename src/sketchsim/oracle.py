@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from sketchsim.core import ItemId, UndefinedSimilarityError
+from sketchsim.core import ItemId, UndefinedSimilarityError, item_ids
 
 
 def multiset_jaccard(a, b) -> float:
@@ -28,10 +28,10 @@ def multiset_jaccard(a, b) -> float:
     one division is of Python integers.
 
     Raises:
+        TypeError: if either array holds ids that are not integers.
         UndefinedSimilarityError: if both arrays are empty (0/0).
     """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
+    a, b = item_ids(a), item_ids(b)
     if len(a) == 0 and len(b) == 0:
         raise UndefinedSimilarityError("jaccard of two empty multisets is 0/0")
     values_a, counts_a = np.unique(a, return_counts=True)
@@ -77,9 +77,7 @@ class ExactMultiset:
     @classmethod
     def from_array(cls, items) -> "ExactMultiset":
         """Bulk constructor for large numpy streams."""
-        values, counts = np.unique(
-            np.asarray(items, dtype=np.uint64), return_counts=True
-        )
+        values, counts = np.unique(item_ids(items), return_counts=True)
         ms = cls()
         ms._counts = dict(zip(values.tolist(), counts.tolist()))
         ms._cardinality = int(counts.sum())

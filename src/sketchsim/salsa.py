@@ -42,14 +42,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from sketchsim.core import (
-    Algo,
-    BudgetTooSmallError,
-    JaccardEstimate,
-    RowSaturatedError,
-    SketchParams,
-    clamped_estimate,
-)
+from sketchsim.core import Algo, BudgetTooSmallError, RowSaturatedError, SketchParams
 from sketchsim.hashing import HashKind, bucket_of
 from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 
@@ -303,22 +296,15 @@ class SalsaSimilaritySketch(_CounterSketch):
     def _budget_width(cls, memory_bytes: int, rows: int) -> int:
         return salsa_width(memory_bytes, rows)
 
-    def insert_many(self, items) -> None:
-        """Insert a batch; raises without applying anything on saturation.
-
-        Updates go to copies of the rows, which replace the rows only
-        once every row has absorbed the whole batch.
-        """
-        items = self._item_ids(items)
-        if items.size == 0:
-            return
+    def _insert(self, items: np.ndarray) -> None:
+        """Updates go to copies of the rows, which replace them only once
+        every row has absorbed the whole batch, so saturation applies nothing."""
         staged = [row.copy() for row in self.rows]
         for row, (idx, sign) in self.hash.chunk_hashes(items, (HashKind.INDEX, HashKind.SIGN)):
             sign >>= np.uint64(63)
             positions = bucket_of(idx, self.params.width).view(np.int64)
             staged[row].add_many(positions, sign.view(np.int64))
         self.rows = staged
-        self.total_inserted += items.size
 
     def align_with(self, other: "SalsaSimilaritySketch") -> None:
         """In-place layout alignment of both sketches, row by row."""
@@ -326,18 +312,16 @@ class SalsaSimilaritySketch(_CounterSketch):
         for row_a, row_b in zip(self.rows, other.rows):
             row_a.align(row_b)
 
-    def estimate_jaccard(self, other: "SalsaSimilaritySketch") -> JaccardEstimate:
+    def _jaccard(self, other: "SalsaSimilaritySketch") -> float:
         """Weighted two-field estimate over aligned logical counters.
 
         Each row pair is scored over both rows' counters coarsened to
         their common layout; neither operand changes.
         """
-        self._check_estimable(other)
         acc = 0.0
         for row_a, row_b in zip(self.rows, other.rows):
             level = np.maximum(row_a.level_of, row_b.level_of)
             _, cm_a, c_a = row_a.coarsened(level)
             _, cm_b, c_b = row_b.coarsened(level)
             acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
-        raw = acc / self.params.rows
-        return clamped_estimate(raw, self.ALGO)
+        return acc / self.params.rows

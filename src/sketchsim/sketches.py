@@ -20,11 +20,14 @@ sketching the concatenated streams, counter for counter.
 Counters are 32-bit (overflow-checked, not saturating), so a grid holds
 exactly the bytes its budget is charged for. Totals are formed and checked
 in int64 before they are written back, so no check sees a wrapped value.
+
+All eight sketches, these and the set baselines, derive from ``_Sketch``,
+which runs ``insert_many`` and ``estimate_jaccard``; each sketch writes
+only its update, ``_insert``, and its raw estimator, ``_jaccard``.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Dict
 
 import numpy as np
@@ -39,6 +42,7 @@ from sketchsim.core import (
     UndefinedSimilarityError,
     clamped_estimate,
     derive_width,
+    item_ids,
 )
 from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind, bucket_of
 
@@ -71,22 +75,14 @@ def weighted_row_similarity(
     return float((max_cm * sign_gated_ratios(c_a, c_b)).sum()) / denom
 
 
-def _integer(item) -> int:
-    """``item`` as a Python int; a float or a bool raises ``TypeError``."""
-    if not isinstance(item, bool):
-        try:
-            return operator.index(item)
-        except TypeError:
-            pass
-    raise TypeError(f"item ids must be integers, got {type(item).__name__} {item!r}")
-
-
 class _Sketch:
     """What all eight sketches share: the master seed and its hash family,
-    the count of inserted arrivals, a single-item insert over
-    ``insert_many``, and the checks two sketches pass before they are
-    compared: the same type, then an equal ``geometry`` (the sizes and
-    seed fixed at construction). Subclasses supply ``insert_many``."""
+    the count of inserted arrivals, the insert and estimate entry points,
+    and the checks two sketches pass before they are compared: the same
+    type, then an equal ``geometry`` (the sizes and seed fixed at
+    construction). Subclasses supply ``_insert``, which applies a batch of
+    ids whole or raises having applied nothing, and ``_jaccard``, the raw
+    estimate of two non-empty sketches."""
 
     ALGO: Algo
 
@@ -99,16 +95,20 @@ class _Sketch:
     def insert(self, item: ItemId) -> None:
         self.insert_many([item])
 
-    @staticmethod
-    def _item_ids(items) -> np.ndarray:
-        """``items`` as uint64 ids. Non-integers are refused, since a cast
-        would truncate them. An array is judged by its dtype; a list or a
-        scalar item by item, since numpy would cast them before any check."""
-        if not hasattr(items, "dtype"):
-            items = [_integer(x) for x in items] if np.iterable(items) else _integer(items)
-        elif np.size(items) and items.dtype.kind not in "iu":
-            raise TypeError(f"item ids must be integers, got an array of dtype {items.dtype}")
-        return np.ascontiguousarray(items, dtype=np.uint64)
+    def insert_many(self, items) -> None:
+        """Insert a batch of integer ids; a batch that raises changes nothing."""
+        items = item_ids(items)
+        if items.size == 0:
+            return
+        self._insert(items)
+        self.total_inserted += items.size
+
+    def estimate_jaccard(self, other: "_Sketch") -> JaccardEstimate:
+        """The estimate against a compatible sketch. One empty side shares
+        no item with the other, so its raw estimate is 0.0."""
+        self._check_estimable(other)
+        raw = 0.0 if self.is_empty() or other.is_empty() else self._jaccard(other)
+        return clamped_estimate(raw, self.ALGO)
 
     def is_empty(self) -> bool:
         return self.total_inserted == 0
@@ -131,7 +131,7 @@ class _Sketch:
 
 class _CounterSketch(_Sketch):
     """Params and budget sizing of every counter sketch; the params are
-    its geometry. Subclasses supply ``insert_many`` and ``_budget_width``."""
+    its geometry. Subclasses supply ``_budget_width``."""
 
     def __init__(self, params: SketchParams) -> None:
         super().__init__(params, params.master_seed, params.rows)
@@ -174,11 +174,7 @@ class _GridSketch(_CounterSketch):
     def _budget_width(cls, memory_bytes: int, rows: int) -> int:
         return derive_width(memory_bytes, rows, cls.SLOT_BYTES)
 
-    def insert_many(self, items) -> None:
-        """Insert a batch; raises without applying anything on overflow."""
-        items = self._item_ids(items)
-        if items.size == 0:
-            return
+    def _insert(self, items: np.ndarray) -> None:
         width = self.params.width
         signed = any(self.FIELDS.values())
         kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
@@ -215,7 +211,6 @@ class _GridSketch(_CounterSketch):
             _check_range(totals[is_signed], is_signed, f"insert into {name}")
         for name, is_signed in self.FIELDS.items():
             getattr(self, name)[...] = totals[is_signed]
-        self.total_inserted += items.size
 
     def merge(self, other: "_GridSketch") -> "_GridSketch":
         """Field-wise sum; equivalent to sketching the concatenated streams."""
@@ -246,9 +241,8 @@ class CmSimilaritySketch(_GridSketch):
         # sketch is nonempty.
         return mins / maxs
 
-    def estimate_jaccard(self, other: "CmSimilaritySketch") -> JaccardEstimate:
-        raw = float(self.row_ratios(other).min())
-        return clamped_estimate(raw, self.ALGO)
+    def _jaccard(self, other: "CmSimilaritySketch") -> float:
+        return float(self.row_ratios(other).min())
 
 
 class CountSimilaritySketch(_GridSketch):
@@ -258,17 +252,15 @@ class CountSimilaritySketch(_GridSketch):
     SLOT_BYTES = 4
     FIELDS = {"counters": True}
 
-    def estimate_jaccard(self, other: "CountSimilaritySketch") -> JaccardEstimate:
+    def _jaccard(self, other: "CountSimilaritySketch") -> float:
         """Average over all k*l slots of sign-gated min/max magnitude ratio.
 
         Empty slots contribute 0, so the estimate dilutes toward 0 as the
         grid grows past the stream's support. That is inherent to the
         uniform average, not a bug.
         """
-        self._check_estimable(other)
         ratios = sign_gated_ratios(self.counters, other.counters)
-        raw = float(ratios.sum() / (self.params.rows * self.params.width))
-        return clamped_estimate(raw, self.ALGO)
+        return float(ratios.sum() / (self.params.rows * self.params.width))
 
 
 class WeightedSimilaritySketch(_GridSketch):
@@ -284,10 +276,8 @@ class WeightedSimilaritySketch(_GridSketch):
     SLOT_BYTES = 8
     FIELDS = {"cm_counters": False, "c_counters": True}
 
-    def estimate_jaccard(self, other: "WeightedSimilaritySketch") -> JaccardEstimate:
-        self._check_estimable(other)
+    def _jaccard(self, other: "WeightedSimilaritySketch") -> float:
         acc = 0.0
         for row in zip(self.cm_counters, other.cm_counters, self.c_counters, other.c_counters):
             acc += weighted_row_similarity(*row)
-        raw = acc / self.params.rows
-        return clamped_estimate(raw, self.ALGO)
+        return acc / self.params.rows

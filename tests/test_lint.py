@@ -85,3 +85,47 @@ def test_no_dead_names():
     )
     dead = sorted(name for name, count in defined.items() if words[name] <= count)
     assert not dead, "names defined but never used: " + ", ".join(dead)
+
+
+def test_only_the_base_runs_the_sketch_protocol():
+    # Read from the source, not the live classes: a traced benchmark run
+    # restores each method it wrapped by setting it on the class, so after
+    # one, a sketch class holds the base's insert_many in its own __dict__.
+    classes = {
+        node.name: node
+        for path in ROOT.glob("src/sketchsim/*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def defines(name):
+        """The names a class binds itself or through its package bases."""
+        node = classes[name]
+        names = {n for stmt in node.body for n in statement_names(stmt)}
+        for base in node.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                names |= defines(base.id)
+        return names
+
+    entry = [
+        f"{name}.{attr}"
+        for name, node in classes.items()
+        if name != "_Sketch"
+        for stmt in node.body
+        for attr in statement_names(stmt)
+        if attr in ("insert_many", "estimate_jaccard")
+    ]
+    assert not entry, "only _Sketch may define the entry points: " + ", ".join(entry)
+    sketches = [
+        name
+        for name, node in classes.items()
+        if any(isinstance(s, ast.Assign) and "ALGO" in statement_names(s) for s in node.body)
+    ]
+    assert len(sketches) == 8
+    missing = [
+        f"{name}.{attr}"
+        for name in sketches
+        for attr in ("_insert", "_jaccard")
+        if attr not in defines(name)
+    ]
+    assert not missing, "sketches without their update or estimator: " + ", ".join(missing)

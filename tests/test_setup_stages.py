@@ -5,7 +5,7 @@ the reference: Zipf sampling against a full-length ``searchsorted``
 inversion, the split against one full-length draw and mask,
 ``multiset_jaccard`` against ``ExactMultiset``, ``occurrence_numbers``
 against a stable argsort, and the expansion adapters against their
-full-length ``mix64_array`` form. The split and the exact expansion are
+full-length ``mix64_array`` form. The split and both expansions are
 also held to bounds on the memory they allocate.
 """
 
@@ -200,3 +200,12 @@ class TestExpansion:
         # buffers, however many values are distinct.
         assert ids.nbytes == items.nbytes
         assert peak < 3.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
+
+    def test_cm_expansion_holds_under_4_3_batches(self):
+        items = zipf_stream(ZipfSpec(500_000, 50_000, 0.6, 2))
+        params = SketchParams(rows=2, width=8192, master_seed=1)
+        peak, ids = traced_peak(expand_cm_ids, items, params)
+        # A row's occurrence numbers, sort order and run starts, and the
+        # running minimum: the row's buckets are freed once sorted.
+        assert ids.nbytes == items.nbytes
+        assert peak < 4.3 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"

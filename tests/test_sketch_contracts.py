@@ -7,7 +7,8 @@ sketch's state, whether a counter grid or a set baseline, depends
 on how a stream is cut into batches, sketches of different types refuse
 to compare, two empty sketches have no similarity, and one empty side
 estimates 0. Every sketch refuses item ids that are not integers, whether
-they come as an array, a list or a scalar.
+they come as an array, a list or a scalar, and so do the array entry
+points outside the sketches: the adapters, the oracle and the split.
 """
 
 import itertools
@@ -19,14 +20,23 @@ from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsim.baselines import DotHashSketch, HllSketch, MaxLogHashSketch, MinHashSketch
+from sketchsim.baselines import (
+    DotHashSketch,
+    HllSketch,
+    MaxLogHashSketch,
+    MinHashSketch,
+    expand_cm_ids,
+    expand_exact_ids,
+)
 from sketchsim.core import (
     CounterOverflowError,
     IncompatibleSketchError,
     SketchParams,
     UndefinedSimilarityError,
 )
+from sketchsim.datagen import random_split
 from sketchsim.hashing import HASH_CHUNK
+from sketchsim.oracle import ExactMultiset, multiset_jaccard
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
     CmSimilaritySketch,
@@ -299,16 +309,31 @@ class TestGridRange:
 
 BAD_ITEMS = {"float": np.array([1.5, 2.9]), "bool": np.array([True, False])}
 
+# The array entry points outside the sketches, each fed two batches.
+ENTRY_POINTS = {
+    "expand_exact_ids": lambda a, b: [expand_exact_ids(x) for x in (a, b)],
+    "expand_cm_ids": lambda a, b: [expand_cm_ids(x, params(2, 8, 1)) for x in (a, b)],
+    "multiset_jaccard": multiset_jaccard,
+    "from_array": lambda a, b: ExactMultiset.from_array(a).jaccard(ExactMultiset.from_array(b)),
+    "random_split": lambda a, b: [random_split(x, 0.5, 1) for x in (a, b)],
+}
+
 
 class TestItemIds:
-    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *ENTRY_POINTS])
     @pytest.mark.parametrize("kind", list(BAD_ITEMS))
     @pytest.mark.parametrize("order", ["bad first", "bad second"])
     def test_non_integer_arrays_are_refused(self, name, kind, order):
         # Refused whether the batch meets an empty sketch or a filled one,
-        # and the sketch is left exactly as a twin that never saw it.
-        s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
+        # and the sketch is left exactly as a twin that never saw it. An
+        # entry point refuses it as its first batch or its second.
         good = np.array([1, 2], dtype=np.uint64)
+        if name in ENTRY_POINTS:
+            bad = BAD_ITEMS[kind]
+            with pytest.raises(TypeError, match=str(bad.dtype)):
+                ENTRY_POINTS[name](*((bad, good) if order == "bad first" else (good, bad)))
+            return
+        s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
         if order == "bad second":
             s.insert_many(good)
             twin.insert_many(good)
@@ -316,11 +341,15 @@ class TestItemIds:
             s.insert_many(BAD_ITEMS[kind])
         assert pickle.dumps(s) == pickle.dumps(twin)
 
-    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *ENTRY_POINTS])
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, np.float64(1.5), np.True_])
     @pytest.mark.parametrize("form", ["scalar", "list element"])
     def test_non_integer_scalars_and_list_elements_are_refused(self, name, bad, form):
         # A cast to uint64 would truncate them: 1.5 would count as 1.
+        if name in ENTRY_POINTS:
+            with pytest.raises(TypeError, match="integers"):
+                ENTRY_POINTS[name]([1, 2], bad if form == "scalar" else [3, bad, 4])
+            return
         s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
         s.insert_many([1, 2])
         twin.insert_many([1, 2])
@@ -342,9 +371,16 @@ class TestItemIds:
                 s.insert(x)
             assert pickle.dumps(s) == pickle.dumps(reference)
 
-    @pytest.mark.parametrize("name", list(ALL_SKETCHES))
+    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *ENTRY_POINTS])
     def test_integer_lists_views_and_empty_batches_still_work(self, name):
         ids = np.array([1, 2, (1 << 63) + 7, (1 << 64) - 1], dtype=np.uint64)
+        if name in ENTRY_POINTS:
+            reference = pickle.dumps(ENTRY_POINTS[name](ids, ids))
+            for batch in (ids.tolist(), ids.view(np.int64), [], np.array([])):
+                got = ENTRY_POINTS[name](batch, ids)
+                if len(batch):
+                    assert pickle.dumps(got) == reference
+            return
         reference = ALL_SKETCHES[name]()
         reference.insert_many(ids)
         for batch in (ids.tolist(), ids.view(np.int64), [], np.array([])):
