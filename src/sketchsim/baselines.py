@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Iterator
 
 import numpy as np
 
-from sketchsim.core import Algo, DegenerateEstimateError, ItemId, SketchParams, item_ids
+from sketchsim.core import Algo, DegenerateEstimateError, ItemId, SketchParams, integer_id, item_ids
 from sketchsim.hashing import (
     HASH_CHUNK,
     MASK64,
@@ -69,6 +69,7 @@ class OccurrenceItem:
     occurrence: int
 
     def __post_init__(self) -> None:
+        integer_id(self.base)  # refuses a float or bool base
         if self.occurrence < 1:
             raise ValueError(f"occurrence must be >= 1, got {self.occurrence}")
 
@@ -100,7 +101,7 @@ def occurrence_numbers(items: np.ndarray) -> np.ndarray:
     the result, only the order and the run starts are as long as the
     array; the rest works a chunk at a time.
     """
-    items = np.asarray(items, dtype=np.uint64)
+    items = item_ids(items)
     n = len(items)
     order = np.argsort(items)
     run = np.empty(n, dtype=np.int64)
@@ -203,7 +204,7 @@ def expand_cm(
     produces. That imprecision is the point of offering this adapter.
     """
     cm = CmFrequencySketch(cm_params)
-    for item in stream:
+    for item in map(integer_id, stream):
         cm.insert(item)
         yield OccurrenceItem(base=item, occurrence=cm.query(item))
 
@@ -383,14 +384,9 @@ class MaxLogHashSketch(_SetSketch):
         would count only the other's unique rows, short of k·α, so the
         base estimates 0.0 before it is reached.
         """
-        differs = self.maxlogs != other.maxlogs
-        self_wins = self.maxlogs > other.maxlogs
-        other_wins = other.maxlogs > self.maxlogs
-        phi = (self.unique_flags & self_wins).astype(np.int64) + (
-            other.unique_flags & other_wins
-        ).astype(np.int64)
-        delta = np.where(differs, phi, 0)
-        return 1.0 - float(delta.sum()) / (self.k * ALPHA_INF)
+        delta = np.count_nonzero(self.unique_flags & (self.maxlogs > other.maxlogs))
+        delta += np.count_nonzero(other.unique_flags & (other.maxlogs > self.maxlogs))
+        return 1.0 - delta / (self.k * ALPHA_INF)
 
 
 # -- DotHash -----------------------------------------------------------

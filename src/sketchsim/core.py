@@ -20,7 +20,7 @@ ItemId = int
 down to one of these; equality of ids is identity of items."""
 
 
-def _integer(item) -> int:
+def integer_id(item) -> int:
     """``item`` as a Python int; a float or a bool raises ``TypeError``."""
     if not isinstance(item, bool):
         try:
@@ -36,7 +36,7 @@ def item_ids(items) -> np.ndarray:
     array is judged by its dtype, so an empty one of any dtype passes; a
     list or a scalar item by item, since numpy would cast them unchecked."""
     if not hasattr(items, "dtype"):
-        items = [_integer(x) for x in items] if np.iterable(items) else _integer(items)
+        items = [integer_id(x) for x in items] if np.iterable(items) else integer_id(items)
     elif np.size(items) and items.dtype.kind not in "iu":
         raise TypeError(f"item ids must be integers, got an array of dtype {items.dtype}")
     return np.ascontiguousarray(items, dtype=np.uint64)

@@ -35,6 +35,8 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from sketchsim.core import item_ids
+
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -229,7 +231,7 @@ class HashFamily:
         reused for the whole pass; they are overwritten at the next step,
         and the caller may change them in place.
         """
-        items = np.ascontiguousarray(items, dtype=np.uint64).ravel()
+        items = item_ids(items).ravel()
         rows = range(self.rows) if rows is None else rows
         for row in rows:
             self._check_row(row)
@@ -262,7 +264,7 @@ class HashFamily:
 
     def _mixed_many(self, items: np.ndarray, kind: HashKind, row: int) -> np.ndarray:
         """One (kind, row) of :meth:`chunk_hashes` as one array, closed."""
-        items = np.asarray(items, dtype=np.uint64)
+        items = item_ids(items)
         mixed = np.empty(items.size, dtype=np.uint64)
         lo = 0
         for _, (h,) in self.chunk_hashes(items, (kind,), (row,)):

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from sketchsim.core import ItemId, UndefinedSimilarityError, item_ids
+from sketchsim.core import ItemId, UndefinedSimilarityError, integer_id, item_ids
 
 
 def multiset_jaccard(a, b) -> float:
@@ -84,9 +84,10 @@ class ExactMultiset:
         return ms
 
     def insert(self, item: ItemId, count: int = 1) -> None:
-        """Add ``count`` occurrences of ``item``."""
+        """Add ``count`` occurrences of ``item``, an integer id."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        item = integer_id(item)
         self._counts[item] = self._counts.get(item, 0) + count
         self._cardinality += count
 

@@ -105,19 +105,10 @@ class SalsaRow:
         self.cm = np.zeros(width, dtype=np.int64)
         self.c = np.zeros(width, dtype=np.int64)
 
-    def extent_of(self, pos: int) -> Tuple[int, int]:
-        """(start, byte_length) of the logical counter containing pos."""
-        g = int(self.level_of[pos])
-        return pos & ~((1 << g) - 1), 1 << g
-
     def extents(self) -> Iterator[Tuple[int, int]]:
         """All (start, byte_length) extents in ring order."""
-        starts = self.starts()
+        starts = _starts(self.level_of)
         return zip(starts.tolist(), (1 << self.level_of[starts].astype(np.int64)).tolist())
-
-    def starts(self) -> np.ndarray:
-        """Start positions of the extents, ascending."""
-        return _starts(self.level_of)
 
     def copy(self) -> "SalsaRow":
         row = SalsaRow(self.width)
@@ -256,25 +247,12 @@ class SalsaRow:
         lo = np.minimum.reduceat(run, head) - base
         return _over(g, cm0 + count, c0 + hi, c0 + lo)
 
-    def coarsened(self, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, cm, c) of this row's counters summed into the layout
-        ``level``, a level map no finer than this row's anywhere.
-
-        Extents nest, so each coarser counter is the sum of its bytes.
-        """
-        starts = _starts(level)
-        return starts, np.add.reduceat(self.cm, starts), np.add.reduceat(self.c, starts)
-
-    def align(self, other: "SalsaRow") -> None:
-        """Give both rows their finest common coarsening, the positionwise
-        maximum of the two level maps; mutates both rows."""
-        level = np.maximum(self.level_of, other.level_of)
-        for row in (self, other):
-            starts, cm, c = row.coarsened(level)
-            for field, sums in ((row.cm, cm), (row.c, c)):
-                field.fill(0)
-                field[starts] = sums
-            row.level_of[:] = level
+    def coarsened(self, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(cm, c) of this row's counters summed, without changing the row,
+        into the layout whose extents begin at ``starts`` (ascending), no
+        finer than the row's own anywhere: extents nest, so each coarser
+        counter is the sum of its bytes."""
+        return np.add.reduceat(self.cm, starts), np.add.reduceat(self.c, starts)
 
     def total_cm(self) -> int:
         return int(self.cm.sum())
@@ -306,22 +284,15 @@ class SalsaSimilaritySketch(_CounterSketch):
             staged[row].add_many(positions, sign.view(np.int64))
         self.rows = staged
 
-    def align_with(self, other: "SalsaSimilaritySketch") -> None:
-        """In-place layout alignment of both sketches, row by row."""
-        self._check_compatible(other)
-        for row_a, row_b in zip(self.rows, other.rows):
-            row_a.align(row_b)
-
     def _jaccard(self, other: "SalsaSimilaritySketch") -> float:
-        """Weighted two-field estimate over aligned logical counters.
-
-        Each row pair is scored over both rows' counters coarsened to
-        their common layout; neither operand changes.
-        """
+        """Weighted two-field estimate over aligned logical counters: each
+        row pair's common starts, from the positionwise maximum of its level
+        maps, are found once, and both rows are coarsened to them and
+        scored. Neither operand changes."""
         acc = 0.0
         for row_a, row_b in zip(self.rows, other.rows):
-            level = np.maximum(row_a.level_of, row_b.level_of)
-            _, cm_a, c_a = row_a.coarsened(level)
-            _, cm_b, c_b = row_b.coarsened(level)
+            starts = _starts(np.maximum(row_a.level_of, row_b.level_of))
+            cm_a, c_a = row_a.coarsened(starts)
+            cm_b, c_b = row_b.coarsened(starts)
             acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
         return acc / self.params.rows

@@ -129,3 +129,20 @@ def test_only_the_base_runs_the_sketch_protocol():
         if attr not in defines(name)
     ]
     assert not missing, "sketches without their update or estimator: " + ", ".join(missing)
+
+
+def test_ids_are_cast_to_uint64_only_by_the_id_rule():
+    # A plain cast truncates float ids; core.item_ids refuses them first.
+    casts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in ROOT.glob("src/sketchsim/*.py")
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("np.asarray", "np.ascontiguousarray")
+        and any(
+            ast.unparse(dtype) == "np.uint64"
+            for dtype in [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "dtype")]
+        )
+    ]
+    assert not casts, "uint64 casts outside core.item_ids: " + ", ".join(casts)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 
 import numpy as np
@@ -59,6 +58,13 @@ def counters(row):
     return [(start, blen, int(row.cm[start]), int(row.c[start])) for start, blen in row.extents()]
 
 
+def extent(level, pos):
+    """(start, byte_len) of the counter holding byte ``pos`` under the
+    level map ``level``."""
+    g = int(level[pos])
+    return pos & -(1 << g), 1 << g
+
+
 class TestWidthDerivation:
     def test_ten_kilobytes_single_row(self):
         # 81920 bits at 18 bits/slot is 4551 slots, floored to 4096.
@@ -84,10 +90,10 @@ class TestRowMerging:
         for i in range(255):
             row.add(0, 1, 1 if i % 2 == 0 else -1)
         row.add(1, 1, 1)  # buddy position, its own 1-byte counter
-        assert row.extent_of(0) == (0, 1)
+        assert extent(row.level_of, 0) == (0, 1)
         row.add(0, 1, 1)  # cm would hit 256: merge [0] with [1]
-        assert row.extent_of(0) == (0, 2)
-        assert row.extent_of(1) == (0, 2)
+        assert extent(row.level_of, 0) == (0, 2)
+        assert extent(row.level_of, 1) == (0, 2)
         assert int(row.cm[0]) == 255 + 1 + 1
         check_buddy_tiling(row)
 
@@ -95,9 +101,9 @@ class TestRowMerging:
         row = SalsaRow(4)
         for _ in range(127):
             row.add(2, 1, -1)
-        assert row.extent_of(2) == (2, 1)
+        assert extent(row.level_of, 2) == (2, 1)
         row.add(2, 1, -1)  # c would hit -128, outside the symmetric range
-        assert row.extent_of(2) == (2, 2)
+        assert extent(row.level_of, 2) == (2, 2)
         assert int(row.c[2]) == -128
         assert int(row.cm[2]) == 128
         check_buddy_tiling(row)
@@ -110,7 +116,7 @@ class TestRowMerging:
         row.add(3, 1, -1)
         row.cm[0] = 65535  # white-box: saturate the 2-byte counter
         row.add(1, 1, 1)  # grow: buddy [2,3] must first coalesce
-        assert row.extent_of(0) == (0, 4)
+        assert extent(row.level_of, 0) == (0, 4)
         assert int(row.cm[0]) == 65535 + 1 + 1 + 1
         assert int(row.c[0]) == 1 + 1 - 1 + 1
         check_buddy_tiling(row)
@@ -121,7 +127,7 @@ class TestRowMerging:
         assert [blen for _, blen, _, _ in parts] == [1, 1, 2, 4]
         row.coalesce(0, 3)
         assert counters(row)[0] == (0, 8, sum(p[2] for p in parts), sum(p[3] for p in parts))
-        assert row.extent_of(7) == (0, 8)
+        assert extent(row.level_of, 7) == (0, 8)
         check_buddy_tiling(row)
         with pytest.raises(ValueError):
             row.coalesce(4, 2)
@@ -162,7 +168,7 @@ class TestRowMerging:
         width_log=st.integers(0, 6),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["add", "add_many", "coalesce", "align"]),
+                st.sampled_from(["add", "add_many", "coalesce"]),
                 st.integers(0, 2**32 - 1),
             ),
             max_size=12,
@@ -172,41 +178,33 @@ class TestRowMerging:
         # A block's value is the plain sum of its bytes only while every
         # byte that starts no extent holds 0 in both fields.
         width = 1 << width_log
-        row, other = SalsaRow(width), SalsaRow(width)
-
-        def feed(target, rng):
-            n = int(rng.integers(1, 3000))
-            pos = ((rng.zipf(1.3, size=n) - 1) % width).astype(np.int64)
-            target.add_many(pos, rng.integers(0, 2, size=n))
-
+        row = SalsaRow(width)
         for op, seed in ops:
             rng = np.random.default_rng(seed)
             try:
                 if op == "add":
                     row.add(int(rng.integers(width)), int(rng.integers(1, 300)), int(rng.integers(-200, 200)))
                 elif op == "add_many":
-                    feed(row, rng)
-                elif op == "coalesce":
+                    n = int(rng.integers(1, 3000))
+                    pos = ((rng.zipf(1.3, size=n) - 1) % width).astype(np.int64)
+                    row.add_many(pos, rng.integers(0, 2, size=n))
+                else:
                     g = int(rng.integers(width_log + 1))
                     start = int(rng.integers(width)) & -(1 << g)
                     if row.level_of[start] <= g:
                         row.coalesce(start, g)
-                else:
-                    feed(other, rng)
-                    row.align(other)
             except RowSaturatedError:
                 pass
-            for r in (row, other):
-                off = np.ones(width, dtype=bool)
-                off[r.starts()] = False
-                assert not r.cm[off].any() and not r.c[off].any()
-                check_buddy_tiling(r)
+            off = np.ones(width, dtype=bool)
+            off[[start for start, _ in row.extents()]] = False
+            assert not row.cm[off].any() and not row.c[off].any()
+            check_buddy_tiling(row)
 
     def test_levels_grow_under_skew(self):
         row = SalsaRow(8)
         for i in range(3000):
             row.add(0, 1, 1 if i % 2 == 0 else -1)
-        start, blen = row.extent_of(0)
+        start, blen = extent(row.level_of, 0)
         assert blen >= 2
         assert int(row.cm[start]) == 3000
 
@@ -224,9 +222,9 @@ def filled_row(width, blocks, seed):
 
 
 def reference_align(a, b):
-    """Expected dumps of ``a.align(b)``: walk both rows' extents pairwise;
-    at each common start the longer extent absorbs the other row's
-    extents inside it."""
+    """Both rows' counters, as ``counters`` lists them, in their common
+    layout: walk both rows' extents pairwise; at each common start the
+    longer extent absorbs the other row's extents inside it."""
     out = ([], [])
     ext = (counters(a), counters(b))
     at, pos = [0, 0], 0
@@ -240,6 +238,18 @@ def reference_align(a, b):
             out[side].append((pos, blen, cm, c))
         pos += blen
     return out
+
+
+def coarsened_counters(a, b):
+    """``reference_align(a, b)`` from ``coarsened`` over the starts of the
+    positionwise maximum of the two level maps."""
+    level = np.maximum(a.level_of, b.level_of)
+    starts = [pos for pos in range(a.width) if extent(level, pos)[0] == pos]
+    lens = [extent(level, pos)[1] for pos in starts]
+    return tuple(
+        list(zip(starts, lens, *(f.tolist() for f in row.coarsened(np.array(starts)))))
+        for row in (a, b)
+    )
 
 
 class TestAlign:
@@ -256,18 +266,15 @@ class TestAlign:
     )
     def test_matches_pairwise_extent_walk(self, blocks_a, blocks_b):
         a, b = filled_row(16, blocks_a, 1), filled_row(16, blocks_b, 2)
-        expected = reference_align(a, b)
-        a.align(b)
-        assert (counters(a), counters(b)) == expected
-        check_buddy_tiling(a)
+        before = [a.copy(), b.copy()]
+        assert coarsened_counters(a, b) == reference_align(a, b)
+        assert_rows_equal([a, b], before)
 
     def test_unmerged_rows_align_is_noop(self):
         a, b = SalsaRow(8), SalsaRow(8)
         a.add(0, 1, 1)
         b.add(5, 1, -1)
-        before = [a.copy(), b.copy()]
-        a.align(b)
-        assert_rows_equal([a, b], before)
+        assert coarsened_counters(a, b) == reference_align(a, b) == (counters(a), counters(b))
 
     def test_finer_side_merges_to_match(self):
         a, b = SalsaRow(8), SalsaRow(8)
@@ -275,24 +282,10 @@ class TestAlign:
         a.add(0, 1, 1)
         b.add(0, 1, 1)
         b.add(1, 1, 1)
-        a.align(b)
-        assert a.extent_of(0) == (0, 2)
-        assert b.extent_of(0) == (0, 2)
-        assert int(b.cm[0]) == 2  # the two 1-byte values were added
-        check_buddy_tiling(a)
-        check_buddy_tiling(b)
-
-    def test_align_idempotent(self):
-        rng = np.random.default_rng(1)
-        a, b = SalsaRow(16), SalsaRow(16)
-        for _ in range(4000):
-            a.add(int(rng.integers(0, 16)), 1, int(rng.choice([-1, 1])))
-        for _ in range(300):
-            b.add(int(rng.integers(0, 16)), 1, int(rng.choice([-1, 1])))
-        a.align(b)
-        aligned = [a.copy(), b.copy()]
-        a.align(b)
-        assert_rows_equal([a, b], aligned)
+        coarse_a, coarse_b = coarsened_counters(a, b)
+        assert (coarse_a, coarse_b) == reference_align(a, b)
+        assert coarse_a[0][:2] == coarse_b[0][:2] == (0, 2)
+        assert coarse_b[0][2] == 2  # the two 1-byte values were added
 
     def test_align_preserves_totals(self):
         rng = np.random.default_rng(2)
@@ -301,12 +294,11 @@ class TestAlign:
             a.add(int(rng.integers(0, 4)), 1, int(rng.choice([-1, 1])))
         for _ in range(3000):
             b.add(int(rng.integers(8, 16)), 1, int(rng.choice([-1, 1])))
-        cm_a, c_a, cm_b, c_b = a.total_cm(), a.total_c(), b.total_cm(), b.total_c()
-        a.align(b)
-        assert (a.total_cm(), a.total_c()) == (cm_a, c_a)
-        assert (b.total_cm(), b.total_c()) == (cm_b, c_b)
-        # Layouts now identical.
-        assert [e for e in a.extents()] == [e for e in b.extents()]
+        coarse = coarsened_counters(a, b)
+        assert coarse == reference_align(a, b)
+        for row, counts in zip((a, b), coarse):
+            assert sum(x[2] for x in counts) == row.total_cm()
+            assert sum(x[3] for x in counts) == row.total_c()
 
 
 class TestSketch:
@@ -315,7 +307,7 @@ class TestSketch:
         s.insert(1234)
         for i in range(2):
             pos = s.hash.index_hash(1234, i, 8)
-            start, blen = s.rows[i].extent_of(pos)
+            start, blen = extent(s.rows[i].level_of, pos)
             assert blen == 1
             assert int(s.rows[i].cm[start]) == 1
             assert int(s.rows[i].c[start]) == s.hash.sign_hash(1234, i)
@@ -399,24 +391,12 @@ class TestSketch:
             a, b = sketch(rows=3, width=16, seed=seed), sketch(rows=3, width=16, seed=seed)
             a.insert_many((rng.zipf(1.3, size=20_000) % 200).astype(np.uint64))
             b.insert_many((rng.zipf(1.3, size=3_000) % 200).astype(np.uint64))
-            ca, cb = copy.deepcopy(a), copy.deepcopy(b)
-            ca.align_with(cb)
             acc = 0.0
-            for row_a, row_b in zip(ca.rows, cb.rows):
-                starts = row_a.starts()
-                cm_a, cm_b, c_a, c_b = (f[starts] for f in (row_a.cm, row_b.cm, row_a.c, row_b.c))
-                acc += weighted_row_similarity(cm_a, cm_b, c_a, c_b)
+            for row_a, row_b in zip(a.rows, b.rows):
+                ref_a, ref_b = (np.array(ref).T for ref in reference_align(row_a, row_b))
+                acc += weighted_row_similarity(ref_a[2], ref_b[2], ref_a[3], ref_b[3])
             assert a.estimate_jaccard(b).raw == acc / 3
             assert any(ra.level_of.tolist() != rb.level_of.tolist() for ra, rb in zip(a.rows, b.rows))
-
-    def test_align_with_mutates_in_place(self):
-        rng = np.random.default_rng(12)
-        a, b = sketch(width=4, seed=13), sketch(width=4, seed=13)
-        a.insert_many(rng.integers(0, 100, size=3000, dtype=np.uint64))
-        b.insert(42)
-        a.align_with(b)
-        for row_a, row_b in zip(a.rows, b.rows):
-            assert [e for e in row_a.extents()] == [e for e in row_b.extents()]
 
     def test_both_empty_is_an_error(self):
         with pytest.raises(UndefinedSimilarityError):
@@ -552,8 +532,8 @@ class TestRiskSplit:
         expected, _ = replay_row(row, pos, bits)
         row.add_many(pos, bits)
         assert_rows_equal([row], [expected])
-        assert row.extent_of(2) == (2, 2) and row.extent_of(9) == (8, 2)
-        assert row.extent_of(12) == (12, 1)
+        assert extent(row.level_of, 2) == (2, 2) and extent(row.level_of, 9) == (8, 2)
+        assert extent(row.level_of, 12) == (12, 1)
 
     def test_cascade_from_level_zero_to_two_within_a_chunk(self):
         # One hash chunk of +1 arrivals, nearly all at byte 5: its counter
@@ -568,7 +548,7 @@ class TestRiskSplit:
         expected, _ = replay_row(row, pos, bits)
         row.add_many(pos, bits)
         assert_rows_equal([row], [expected])
-        assert row.extent_of(5) == (4, 4)
+        assert extent(row.level_of, 5) == (4, 4)
         assert int(row.c[4]) == 200 + HASH_CHUNK - 88 + 20 + 30
 
     def test_risk_region_covering_the_whole_row(self):
@@ -579,7 +559,7 @@ class TestRiskSplit:
         expected, _ = replay_row(row, pos, bits)
         row.add_many(pos, bits)
         assert_rows_equal([row], [expected])
-        assert row.extent_of(3) == (0, 4)
+        assert extent(row.level_of, 3) == (0, 4)
 
     def test_saturating_chunk_leaves_the_row_unchanged(self):
         # Byte 0 grows the whole two-byte row early, and the replay
@@ -588,7 +568,7 @@ class TestRiskSplit:
         pos = np.repeat(np.array([0, 1], dtype=np.int64), [40_000, 200])
         bits = np.ones(len(pos), dtype=np.int64)
         replayed, expected_err = replay_row(row, pos, bits)
-        assert expected_err is not None and replayed.extent_of(1) == (0, 2)
+        assert expected_err is not None and extent(replayed.level_of, 1) == (0, 2)
         err = add_many_caught(row, pos, bits)
         assert err == expected_err
         assert_rows_equal([row], [SalsaRow(2)])

@@ -8,7 +8,8 @@ on how a stream is cut into batches, sketches of different types refuse
 to compare, two empty sketches have no similarity, and one empty side
 estimates 0. Every sketch refuses item ids that are not integers, whether
 they come as an array, a list or a scalar, and so do the array entry
-points outside the sketches: the adapters, the oracle and the split.
+points outside the sketches (the adapters, the oracle, the split and the
+hash family) and the per-item reference paths.
 """
 
 import itertools
@@ -25,8 +26,12 @@ from sketchsim.baselines import (
     HllSketch,
     MaxLogHashSketch,
     MinHashSketch,
+    OccurrenceItem,
+    expand_cm,
     expand_cm_ids,
+    expand_exact,
     expand_exact_ids,
+    occurrence_numbers,
 )
 from sketchsim.core import (
     CounterOverflowError,
@@ -35,7 +40,7 @@ from sketchsim.core import (
     UndefinedSimilarityError,
 )
 from sketchsim.datagen import random_split
-from sketchsim.hashing import HASH_CHUNK
+from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind
 from sketchsim.oracle import ExactMultiset, multiset_jaccard
 from sketchsim.salsa import SalsaSimilaritySketch
 from sketchsim.sketches import (
@@ -316,11 +321,37 @@ ENTRY_POINTS = {
     "multiset_jaccard": multiset_jaccard,
     "from_array": lambda a, b: ExactMultiset.from_array(a).jaccard(ExactMultiset.from_array(b)),
     "random_split": lambda a, b: [random_split(x, 0.5, 1) for x in (a, b)],
+    "index_hash_many": lambda a, b: [HashFamily(1, 1).index_hash_many(x, 0, 1 << 20) for x in (a, b)],
+    "chunk_hashes": lambda a, b: [
+        [h.copy() for _, hashes in HashFamily(1, 2).chunk_hashes(x, (HashKind.INDEX,)) for h in hashes]
+        for x in (a, b)
+    ],
+    "occurrence_numbers": lambda a, b: [occurrence_numbers(x) for x in (a, b)],
 }
 
 
+def items_of(x):
+    """A per-item path's input: an iterable of items, or a lone item as one."""
+    return x if np.iterable(x) else [x]
+
+
+# The per-item reference paths, each fed two batches. They keep ids as
+# Python ints, so an int64 view is not the same input to them.
+PER_ITEM = {
+    "from_items": lambda a, b: ExactMultiset.from_items(items_of(a)).jaccard(
+        ExactMultiset.from_items(items_of(b))
+    ),
+    "OccurrenceItem": lambda a, b: [OccurrenceItem(x, 1).item_id() for x in [*items_of(a), *items_of(b)]],
+    "expand_exact": lambda a, b: [[o.item_id() for o in expand_exact(items_of(x))] for x in (a, b)],
+    "expand_cm": lambda a, b: [
+        [o.item_id() for o in expand_cm(items_of(x), params(2, 8, 1))] for x in (a, b)
+    ],
+}
+POINTS = {**ENTRY_POINTS, **PER_ITEM}
+
+
 class TestItemIds:
-    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *ENTRY_POINTS])
+    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *POINTS])
     @pytest.mark.parametrize("kind", list(BAD_ITEMS))
     @pytest.mark.parametrize("order", ["bad first", "bad second"])
     def test_non_integer_arrays_are_refused(self, name, kind, order):
@@ -328,10 +359,10 @@ class TestItemIds:
         # and the sketch is left exactly as a twin that never saw it. An
         # entry point refuses it as its first batch or its second.
         good = np.array([1, 2], dtype=np.uint64)
-        if name in ENTRY_POINTS:
+        if name in POINTS:
             bad = BAD_ITEMS[kind]
             with pytest.raises(TypeError, match=str(bad.dtype)):
-                ENTRY_POINTS[name](*((bad, good) if order == "bad first" else (good, bad)))
+                POINTS[name](*((bad, good) if order == "bad first" else (good, bad)))
             return
         s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
         if order == "bad second":
@@ -341,14 +372,14 @@ class TestItemIds:
             s.insert_many(BAD_ITEMS[kind])
         assert pickle.dumps(s) == pickle.dumps(twin)
 
-    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *ENTRY_POINTS])
+    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *POINTS])
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, np.float64(1.5), np.True_])
     @pytest.mark.parametrize("form", ["scalar", "list element"])
     def test_non_integer_scalars_and_list_elements_are_refused(self, name, bad, form):
         # A cast to uint64 would truncate them: 1.5 would count as 1.
-        if name in ENTRY_POINTS:
+        if name in POINTS:
             with pytest.raises(TypeError, match="integers"):
-                ENTRY_POINTS[name]([1, 2], bad if form == "scalar" else [3, bad, 4])
+                POINTS[name]([1, 2], bad if form == "scalar" else [3, bad, 4])
             return
         s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
         s.insert_many([1, 2])
