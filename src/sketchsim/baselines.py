@@ -36,8 +36,9 @@ largest m with 2**m <= memory_bytes, clamped to [4, 26].
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,7 +70,9 @@ class OccurrenceItem:
     occurrence: int
 
     def __post_init__(self) -> None:
-        integer_id(self.base)  # refuses a float or bool base
+        # Both fields are stored as Python ints; a float or bool raises.
+        object.__setattr__(self, "base", integer_id(self.base))
+        object.__setattr__(self, "occurrence", integer_id(self.occurrence))
         if self.occurrence < 1:
             raise ValueError(f"occurrence must be >= 1, got {self.occurrence}")
 
@@ -80,11 +83,10 @@ class OccurrenceItem:
 
 def expand_exact(stream: Iterable[ItemId]) -> Iterator[OccurrenceItem]:
     """Tag each arrival with its exact running occurrence count."""
-    seen: Dict[ItemId, int] = {}
-    for item in stream:
-        n = seen.get(item, 0) + 1
-        seen[item] = n
-        yield OccurrenceItem(base=item, occurrence=n)
+    seen: Counter[ItemId] = Counter()
+    for item in map(integer_id, stream):
+        seen[item] += 1
+        yield OccurrenceItem(base=item, occurrence=seen[item])
 
 
 def occurrence_numbers(items: np.ndarray) -> np.ndarray:

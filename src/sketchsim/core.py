@@ -31,15 +31,15 @@ def integer_id(item) -> int:
 
 
 def item_ids(items) -> np.ndarray:
-    """``items`` as contiguous uint64 ids: every entry point's one id rule.
-    Non-integers raise ``TypeError``, since a cast would truncate them. An
-    array is judged by its dtype, so an empty one of any dtype passes; a
-    list or a scalar item by item, since numpy would cast them unchecked."""
+    """``items`` as one flat, contiguous uint64 batch: every entry point's one
+    id rule. Non-integers raise ``TypeError``, since a cast would truncate
+    them. An array of any shape is judged by its dtype, so an empty one
+    passes; a list or a scalar item by item, as numpy would cast it unchecked."""
     if not hasattr(items, "dtype"):
         items = [integer_id(x) for x in items] if np.iterable(items) else integer_id(items)
     elif np.size(items) and items.dtype.kind not in "iu":
         raise TypeError(f"item ids must be integers, got an array of dtype {items.dtype}")
-    return np.ascontiguousarray(items, dtype=np.uint64)
+    return np.ascontiguousarray(items, dtype=np.uint64).reshape(-1)
 
 
 class SketchError(Exception):

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from sketchsim.core import item_ids
+from sketchsim.core import integer_id, item_ids
 
 MASK64 = (1 << 64) - 1
 
@@ -168,11 +168,11 @@ class HashFamily:
 
     def _mixed(self, item: int, kind: HashKind, row: int) -> int:
         self._check_row(row)
-        return mix64(mix64(item) ^ int(self._seeds[row, kind]))
+        return mix64(mix64(integer_id(item)) ^ int(self._seeds[row, kind]))
 
     def row_hashes(self, item: int, kind: HashKind) -> np.ndarray:
         """``item``'s hashes under every row's seed of ``kind``, one per row."""
-        return mix64_array(np.uint64(mix64(item)) ^ self._seeds[:, kind])
+        return mix64_array(np.uint64(mix64(integer_id(item))) ^ self._seeds[:, kind])
 
     def index_hash(self, item: int, row: int, width: int) -> int:
         """Bucket index in ``[0, width)`` for ``item`` under row ``row``."""
@@ -219,7 +219,7 @@ class HashFamily:
     ) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
         """The one hashing pass behind every vector hash.
 
-        Walks the flattened batch ``items`` in chunks of :data:`HASH_CHUNK`
+        Walks the batch ``items``, taken flat, in chunks of :data:`HASH_CHUNK`
         items and premixes each chunk once. Then, for each row of
         ``rows`` (default: every row), it yields ``(row, hashes)``, where
         ``hashes[j]`` holds the chunk's ``mix64(mix64(item) ^ seed)``
@@ -231,7 +231,7 @@ class HashFamily:
         reused for the whole pass; they are overwritten at the next step,
         and the caller may change them in place.
         """
-        items = item_ids(items).ravel()
+        items = item_ids(items)
         rows = range(self.rows) if rows is None else rows
         for row in rows:
             self._check_row(row)
@@ -274,7 +274,7 @@ class HashFamily:
             else:
                 out[...] = h
             lo += h.size
-        return mixed.reshape(items.shape)
+        return mixed
 
     def index_hash_many(self, items: np.ndarray, row: int, width: int) -> np.ndarray:
         """Vector form of :meth:`index_hash`; returns int64 bucket indices."""

@@ -1,8 +1,10 @@
 """Exact multiset algebra.
 
-The brute-force ground truth the sketches are measured against. Multisets
-are plain multiplicity maps; cardinality is kept incrementally so repeated
-similarity queries stay cheap. Nothing here is memory-bounded on purpose.
+The brute-force ground truth the sketches are measured against. A
+multiset is one ``collections.Counter``, whose operators are the algebra
+(``&`` and ``|`` take pointwise minima and maxima) and whose ``total()``
+is the cardinality, derived, not cached. Nothing here is memory-bounded
+on purpose.
 
 ``multiset_jaccard`` computes the same similarity straight from two
 arrays, from their sorted ``np.unique`` counts; the harness takes its
@@ -12,7 +14,8 @@ against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from collections import Counter
+from typing import Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -49,57 +52,55 @@ def multiset_jaccard(a, b) -> float:
 class ExactMultiset:
     """Multiset over 64-bit item ids with exact multiplicities.
 
-    Stored entries always have multiplicity >= 1; the support is exactly
-    the key set. ``len()`` returns the cardinality (sum of multiplicities),
-    not the support size.
+    One ``Counter`` holds the multiplicities, and its operators are the
+    algebra. Stored entries always have multiplicity >= 1; the support is
+    exactly the key set. ``len()`` returns the cardinality (sum of
+    multiplicities, ``Counter.total()``), not the support size.
     """
 
-    __slots__ = ("_counts", "_cardinality")
+    __slots__ = ("_counts",)
 
     def __init__(self, counts: Mapping[ItemId, int] | None = None) -> None:
-        self._counts: Dict[ItemId, int] = {}
-        self._cardinality = 0
+        self._counts: Counter[ItemId] = Counter()
         if counts:
             for item, mult in counts.items():
                 if mult < 0:
                     raise ValueError(f"negative multiplicity {mult} for item {item}")
                 if mult > 0:
-                    self._counts[item] = mult
-                    self._cardinality += mult
+                    self.insert(item, mult)
+
+    @classmethod
+    def _of(cls, counts: Counter) -> "ExactMultiset":
+        """Wrap ``counts``, whose keys are ids and whose values are >= 1."""
+        ms = cls()
+        ms._counts = counts
+        return ms
 
     @classmethod
     def from_items(cls, items: Iterable[ItemId]) -> "ExactMultiset":
-        ms = cls()
-        for item in items:
-            ms.insert(item)
-        return ms
+        return cls._of(Counter(map(integer_id, items)))
 
     @classmethod
     def from_array(cls, items) -> "ExactMultiset":
         """Bulk constructor for large numpy streams."""
         values, counts = np.unique(item_ids(items), return_counts=True)
-        ms = cls()
-        ms._counts = dict(zip(values.tolist(), counts.tolist()))
-        ms._cardinality = int(counts.sum())
-        return ms
+        return cls._of(Counter(dict(zip(values.tolist(), counts.tolist()))))
 
     def insert(self, item: ItemId, count: int = 1) -> None:
         """Add ``count`` occurrences of ``item``, an integer id."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        item = integer_id(item)
-        self._counts[item] = self._counts.get(item, 0) + count
-        self._cardinality += count
+        self._counts[integer_id(item)] += count
 
     def multiplicity(self, item: ItemId) -> int:
-        return self._counts.get(item, 0)
+        return self._counts[item]
 
     def __len__(self) -> int:
-        return self._cardinality
+        return self._counts.total()
 
     @property
     def cardinality(self) -> int:
-        return self._cardinality
+        return len(self)
 
     @property
     def support_size(self) -> int:
@@ -112,7 +113,7 @@ class ExactMultiset:
         return iter(self._counts.items())
 
     def is_empty(self) -> bool:
-        return self._cardinality == 0
+        return not self._counts
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMultiset):
@@ -120,71 +121,40 @@ class ExactMultiset:
         return self._counts == other._counts
 
     def __repr__(self) -> str:
-        return f"ExactMultiset({self._counts!r})"
+        return f"ExactMultiset({dict(self._counts)!r})"
 
     def copy(self) -> "ExactMultiset":
-        return ExactMultiset(self._counts)
+        return self._of(self._counts.copy())
 
     # -- multiset algebra -----------------------------------------------
 
     def sum(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise multiplicity addition."""
-        out = self.copy()
-        for item, mult in other._counts.items():
-            out._counts[item] = out._counts.get(item, 0) + mult
-        out._cardinality = self._cardinality + other._cardinality
-        return out
+        return self._of(self._counts + other._counts)
 
     def union(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise multiplicity maximum."""
-        out = ExactMultiset()
-        for item, mult in self._counts.items():
-            out._counts[item] = max(mult, other._counts.get(item, 0))
-        for item, mult in other._counts.items():
-            if item not in self._counts:
-                out._counts[item] = mult
-        out._cardinality = sum(out._counts.values())
-        return out
+        return self._of(self._counts | other._counts)
 
     def intersect(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise multiplicity minimum; zero entries are dropped."""
-        small, large = (self, other) if len(self._counts) <= len(other._counts) else (other, self)
-        out = ExactMultiset()
-        for item, mult in small._counts.items():
-            m = min(mult, large._counts.get(item, 0))
-            if m > 0:
-                out._counts[item] = m
-        out._cardinality = sum(out._counts.values())
-        return out
+        return self._of(self._counts & other._counts)
 
     def difference(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise subtraction clamped at zero."""
-        out = ExactMultiset()
-        for item, mult in self._counts.items():
-            m = mult - other._counts.get(item, 0)
-            if m > 0:
-                out._counts[item] = m
-        out._cardinality = sum(out._counts.values())
-        return out
+        return self._of(self._counts - other._counts)
 
     def jaccard(self, other: "ExactMultiset") -> float:
-        """Exact multiset Jaccard similarity.
+        """Exact multiset Jaccard similarity; the union's cardinality is
+        ``len(self) + len(other)`` minus the intersection's.
 
         Raises:
             UndefinedSimilarityError: if both operands are empty (0/0).
         """
         if self.is_empty() and other.is_empty():
             raise UndefinedSimilarityError("jaccard of two empty multisets is 0/0")
-        inter = 0
-        union = 0
-        for item, mult in self._counts.items():
-            o = other._counts.get(item, 0)
-            inter += min(mult, o)
-            union += max(mult, o)
-        for item, mult in other._counts.items():
-            if item not in self._counts:
-                union += mult
-        return inter / union
+        inter = (self._counts & other._counts).total()
+        return inter / (len(self) + len(other) - inter)
 
     def epsilon_subset(self, eps: float) -> "ExactMultiset":
         """Heavy-hitter sub-multiset covering at least ``(1 - eps)`` of the mass.
@@ -199,13 +169,12 @@ class ExactMultiset:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
         if self.is_empty():
             raise ValueError("epsilon_subset of an empty multiset")
-        needed = (1.0 - eps) * self._cardinality
-        out = ExactMultiset()
+        needed = (1.0 - eps) * len(self)
+        kept: Counter[ItemId] = Counter()
         covered = 0
         for item, mult in sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0])):
             if covered >= needed:
                 break
-            out._counts[item] = mult
+            kept[item] = mult
             covered += mult
-        out._cardinality = covered
-        return out
+        return self._of(kept)

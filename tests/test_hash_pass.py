@@ -57,13 +57,14 @@ class TestVectorHashesAcrossChunks:
         unit = fam.unit_hash_many(items, 0)
         rank = fam.unit_rank_many(items, 2)
         bits = fam.bit_hash_many(items, 40)
+        # The scalar methods take a numpy id as they take its Python int.
         for i in sample:
-            x = int(items[i])
-            assert idx[i] == fam.index_hash(x, 2, 1000)
-            assert sign[i] == fam.sign_hash(x, 1)
-            assert unit[i] == fam.unit_hash(x, 0)
-            assert rank[i] == fam.unit_rank(x, 2)
-            assert bits[i] == fam.bit_hash(x, 40)
+            for x in (int(items[i]), items[i]):
+                assert idx[i] == fam.index_hash(x, 2, 1000)
+                assert sign[i] == fam.sign_hash(x, 1)
+                assert unit[i] == fam.unit_hash(x, 0)
+                assert rank[i] == fam.unit_rank(x, 2)
+                assert bits[i] == fam.bit_hash(x, 40)
 
     def test_chunk_hashes_yields_every_row_of_every_chunk(self):
         fam = HashFamily(master_seed=4, rows=2)

@@ -9,7 +9,8 @@ to compare, two empty sketches have no similarity, and one empty side
 estimates 0. Every sketch refuses item ids that are not integers, whether
 they come as an array, a list or a scalar, and so do the array entry
 points outside the sketches (the adapters, the oracle, the split and the
-hash family) and the per-item reference paths.
+hash family) and the per-item reference paths, the scalar hashes among
+them. An integer array of any shape is taken as its flat batch.
 """
 
 import itertools
@@ -341,7 +342,16 @@ PER_ITEM = {
     "from_items": lambda a, b: ExactMultiset.from_items(items_of(a)).jaccard(
         ExactMultiset.from_items(items_of(b))
     ),
+    "ExactMultiset": lambda a, b: ExactMultiset({x: 1 for x in items_of(a)}).jaccard(
+        ExactMultiset({x: 1 for x in items_of(b)})
+    ),
     "OccurrenceItem": lambda a, b: [OccurrenceItem(x, 1).item_id() for x in [*items_of(a), *items_of(b)]],
+    "OccurrenceItem occurrence": lambda a, b: [
+        OccurrenceItem(7, x).item_id() for x in [*items_of(a), *items_of(b)]
+    ],
+    "index_hash": lambda a, b: [
+        HashFamily(1, 1).index_hash(x, 0, 1 << 20) for x in [*items_of(a), *items_of(b)]
+    ],
     "expand_exact": lambda a, b: [[o.item_id() for o in expand_exact(items_of(x))] for x in (a, b)],
     "expand_cm": lambda a, b: [
         [o.item_id() for o in expand_cm(items_of(x), params(2, 8, 1))] for x in (a, b)
@@ -407,14 +417,14 @@ class TestItemIds:
         ids = np.array([1, 2, (1 << 63) + 7, (1 << 64) - 1], dtype=np.uint64)
         if name in ENTRY_POINTS:
             reference = pickle.dumps(ENTRY_POINTS[name](ids, ids))
-            for batch in (ids.tolist(), ids.view(np.int64), [], np.array([])):
+            for batch in (ids.tolist(), ids.view(np.int64), ids.reshape(2, 2), [], np.array([])):
                 got = ENTRY_POINTS[name](batch, ids)
                 if len(batch):
                     assert pickle.dumps(got) == reference
             return
         reference = ALL_SKETCHES[name]()
         reference.insert_many(ids)
-        for batch in (ids.tolist(), ids.view(np.int64), [], np.array([])):
+        for batch in (ids.tolist(), ids.view(np.int64), ids.reshape(2, 2), [], np.array([])):
             s = ALL_SKETCHES[name]()
             s.insert_many(batch)
             if len(batch):
