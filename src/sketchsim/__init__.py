@@ -15,7 +15,6 @@ from sketchsim.core import (
     derive_width,
 )
 from sketchsim.baselines import (
-    CmFrequencySketch,
     DotHashSketch,
     HllSketch,
     MaxLogHashSketch,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algo",
     "BudgetTooSmallError",
-    "CmFrequencySketch",
     "CmSimilaritySketch",
     "CountSimilaritySketch",
     "CounterOverflowError",

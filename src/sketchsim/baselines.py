@@ -4,15 +4,17 @@ The streaming baselines (MinHash, HyperLogLog, MaxLogHash, DotHash)
 estimate similarity of *sets*. Multiset streams are bridged by occurrence
 expansion: the n-th arrival of item x becomes the pair (x, n), and the
 Jaccard similarity of the expanded sets equals the multiset Jaccard of
-the original streams exactly. Expansion comes in two flavors: an exact
-occurrence table, and a count-min-backed variant that may over-report
-occurrence numbers under collisions (cheaper, slightly lossy; both are
-offered because either may feed the benchmark). Each has a streaming
-form over :class:`OccurrenceItem` and a vector form straight to 64-bit
-ids (``expand_exact_ids``, ``expand_cm_ids``) that gives the same ids.
-Both vector forms number occurrences with ``occurrence_numbers``, which
-sorts twice without a stable sort, and write each id over the
-occurrence number it is made from, one hashing chunk at a time.
+the original streams exactly. Both adapters number occurrences by one
+rule: each arrival counts its keys, and its number is the least running
+count among them. The exact adapter's one key is the item itself, so no
+two items share one; the cm adapter's keys are its count-min buckets,
+one per row, where collisions can over-report (cheaper, slightly lossy).
+Each has a streaming form over :class:`OccurrenceItem` and a vector form
+straight to 64-bit ids (``expand_exact_ids``, ``expand_cm_ids``) that
+gives the same ids. The vector forms take each key's running counts from
+``occurrence_numbers``, which sorts twice without a stable sort, and
+write each id over the occurrence number it is made from, one hashing
+chunk at a time.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -81,12 +83,18 @@ class OccurrenceItem:
         return mix64(mix64(self.base) ^ self.occurrence)
 
 
-def expand_exact(stream: Iterable[ItemId]) -> Iterator[OccurrenceItem]:
-    """Tag each arrival with its exact running occurrence count."""
-    seen: Counter[ItemId] = Counter()
+def _expanded(stream: Iterable[ItemId], keys_of: Callable) -> Iterator[OccurrenceItem]:
+    """Count each arrival's keys, and tag it with their least running count."""
+    counts = Counter()
     for item in map(integer_id, stream):
-        seen[item] += 1
-        yield OccurrenceItem(base=item, occurrence=seen[item])
+        keys = keys_of(item)
+        counts.update(keys)
+        yield OccurrenceItem(base=item, occurrence=min(counts[key] for key in keys))
+
+
+def expand_exact(stream: Iterable[ItemId]) -> Iterator[OccurrenceItem]:
+    """Tag each arrival with its exact running count: its one key is itself."""
+    yield from _expanded(stream, lambda item: (item,))
 
 
 def occurrence_numbers(items: np.ndarray) -> np.ndarray:
@@ -176,39 +184,20 @@ def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
     return _occurrence_ids(items, occ.view(np.uint64))
 
 
-class CmFrequencySketch:
-    """Plain count-min frequency sketch backing the lossy expansion."""
-
-    def __init__(self, params: SketchParams) -> None:
-        self.params = params
-        self.hash = HashFamily(params.master_seed, params.rows)
-        self.counters = np.zeros((params.rows, params.width), dtype=np.int64)
-
-    def insert(self, item: ItemId) -> None:
-        for row in range(self.params.rows):
-            self.counters[row, self.hash.index_hash(item, row, self.params.width)] += 1
-
-    def query(self, item: ItemId) -> int:
-        """Estimated frequency: minimum over rows; never under-reports."""
-        return min(
-            int(self.counters[row, self.hash.index_hash(item, row, self.params.width)])
-            for row in range(self.params.rows)
-        )
-
-
 def expand_cm(
     stream: Iterable[ItemId], cm_params: SketchParams
 ) -> Iterator[OccurrenceItem]:
-    """Occurrence expansion with counts read from a count-min sketch.
-
+    """Occurrence expansion with counts read from a count-min sketch: one
+    ``(row, bucket)`` key per row, bucketed by the scalar ``index_hash``.
     Collisions can inflate the reported occurrence number, so distinct
     multiset elements may map to a sparser set image than expand_exact
     produces. That imprecision is the point of offering this adapter.
     """
-    cm = CmFrequencySketch(cm_params)
-    for item in map(integer_id, stream):
-        cm.insert(item)
-        yield OccurrenceItem(base=item, occurrence=cm.query(item))
+    family = HashFamily(cm_params.master_seed, cm_params.rows)
+    rows, width = range(cm_params.rows), cm_params.width
+    yield from _expanded(
+        stream, lambda item: [(row, family.index_hash(item, row, width)) for row in rows]
+    )
 
 
 # -- MinHash -----------------------------------------------------------

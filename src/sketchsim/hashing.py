@@ -7,8 +7,8 @@ same row never share a seed. Quality is enforced statistically by the
 test suite rather than by depending on a named hash library.
 
 Scalar methods and their ``*_many`` numpy counterparts are defined to be
-bit-identical; several sketches rely on that when mixing streamed batches
-with incrementally inserted items.
+bit-identical. The scalar ones are the tests' pure-Python reference for
+the vector path, and ``expand_cm``'s hash.
 
 Every vector hash comes from one chunked pass,
 :meth:`HashFamily.chunk_hashes`. It walks a batch in chunks of

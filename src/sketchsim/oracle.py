@@ -93,7 +93,7 @@ class ExactMultiset:
         self._counts[integer_id(item)] += count
 
     def multiplicity(self, item: ItemId) -> int:
-        return self._counts[item]
+        return self._counts[integer_id(item)]
 
     def __len__(self) -> int:
         return self._counts.total()
@@ -129,8 +129,11 @@ class ExactMultiset:
     # -- multiset algebra -----------------------------------------------
 
     def sum(self, other: "ExactMultiset") -> "ExactMultiset":
-        """Pointwise multiplicity addition."""
-        return self._of(self._counts + other._counts)
+        """Pointwise multiplicity addition. Every stored multiplicity is
+        >= 1, so ``update`` keeps what ``+`` would, without its filter."""
+        total = self._counts.copy()
+        total.update(other._counts)
+        return self._of(total)
 
     def union(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise multiplicity maximum."""

@@ -11,7 +11,6 @@ from sketchsim.core import (
     UndefinedSimilarityError,
 )
 from sketchsim.baselines import (
-    CmFrequencySketch,
     DotHashSketch,
     HllSketch,
     MaxLogHashSketch,
@@ -133,13 +132,9 @@ class TestCmExpansion:
         rng = np.random.default_rng(5)
         stream = rng.integers(0, 100, size=500, dtype=np.uint64).tolist()
         params = SketchParams(rows=2, width=32, master_seed=1)
-        cm = CmFrequencySketch(params)
-        truth = {}
-        for item in stream:
-            cm.insert(item)
-            truth[item] = truth.get(item, 0) + 1
-        for item, count in truth.items():
-            assert cm.query(item) >= count
+        for cm, exact in zip(expand_cm(stream, params), expand_exact(stream), strict=True):
+            assert cm.base == exact.base
+            assert cm.occurrence >= exact.occurrence
 
 
 class TestMinHash:
@@ -483,3 +478,18 @@ class TestFromBudget:
         minhash, maxloghash, dothash, hll = sketches
         assert (minhash.k, maxloghash.k, dothash.d, hll.m_bits) == (registers, registers, registers, m_bits)
         assert all(s.master_seed == 5 for s in sketches)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MinHashSketch(k=0),
+            lambda: MaxLogHashSketch(k=0),
+            lambda: DotHashSketch(d=0),
+            lambda: HllSketch(m_bits=0),
+            lambda: HllSketch(m_bits=64),
+        ],
+        ids=["minhash k=0", "maxloghash k=0", "dothash d=0", "hll m_bits=0", "hll m_bits=64"],
+    )
+    def test_sizes_out_of_range_are_refused(self, make):
+        with pytest.raises(ValueError):
+            make()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -142,14 +144,16 @@ class TestSweep:
             "n_items = 3000\n"
             "n_distinct = 300\n"
         )
-        out = tmp_path / "out.csv"
-        rc = main(["sweep", "--config", str(cfg), "--csv", str(out)])
+        out, out_jsonl = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        rc = main(["sweep", "--config", str(cfg), "--csv", str(out), "--jsonl", str(out_jsonl)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "algo=cm" in printed and "algo=count" in printed
         lines = out.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2 * 2
+        records = [json.loads(line) for line in out_jsonl.read_text().splitlines()]
+        assert [r["algo"] for r in records] == [line.split(",")[0] for line in lines[1:]]
 
 
 SELFTEST_NAMES = [
@@ -208,6 +212,10 @@ class TestErrors:
         argv += ["--stream-a", str(good), "--stream-b", str(bad)]
         err = self.run_failing(argv, capsys)
         assert f"{bad}: line 2: expected 'src,dst'" in err
+
+    def test_gen_zipf_without_an_output_path(self, capsys):
+        err = self.run_failing(["gen-zipf", "--n-items", "10", "--n-distinct", "5"], capsys)
+        assert "--out required without --split-p" in err
 
     def test_budget_too_small(self, capsys):
         argv = ["estimate", "--algo", "cm", "--memory-bytes", "2", "--n-items", "100", "--n-distinct", "10"]

@@ -154,6 +154,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(adapter="magic")
 
+    def test_rejects_unknown_stream_format(self):
+        with pytest.raises(ValueError, match="stream format"):
+            small_config(stream_format="csv")
+
+    def test_rejects_split_p_outside_the_open_interval(self):
+        with pytest.raises(ValueError, match="split_p"):
+            small_config(split_p=1.0)
+
 
 class TestRunExperiment:
     def test_cell_count_is_cross_product(self):

@@ -71,6 +71,13 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             fam.sign_hash(1, -1)
 
+    def test_zero_width_refused(self):
+        fam = HashFamily(master_seed=0, rows=1)
+        with pytest.raises(ValueError):
+            fam.index_hash(1, 0, 0)
+        with pytest.raises(ValueError):
+            fam.index_hash_many(np.array([1], dtype=np.uint64), 0, 0)
+
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             HashFamily(master_seed=0, rows=0)
@@ -256,6 +263,9 @@ class TestBitHash:
             fam.bit_hash(1, 0)
         with pytest.raises(ValueError):
             fam.bit_hash(1, 65)
+        for bits in (0, 65):
+            with pytest.raises(ValueError):
+                fam.bit_hash_many(np.array([1], dtype=np.uint64), bits)
 
     def test_truncation_is_prefix_consistent(self):
         fam = HashFamily(master_seed=79, rows=1)

@@ -40,7 +40,7 @@ class TestInsert:
         a = ExactMultiset()
         a.insert(X, count=5)
         assert a.multiplicity(X) == 5
-        assert len(a) == 5
+        assert len(a) == a.cardinality == 5
 
     def test_rejects_nonpositive_count(self):
         a = ExactMultiset()
@@ -55,6 +55,20 @@ class TestInsert:
     def test_constructor_rejects_negative(self):
         with pytest.raises(ValueError):
             ms({X: -1})
+
+    def test_copy_is_independent(self):
+        a = ms({X: 2})
+        b = a.copy()
+        b.insert(X)
+        b.insert(Y)
+        assert a == ms({X: 2}) and b == ms({X: 3, Y: 1})
+
+    def test_repr_names_the_counts(self):
+        assert repr(ms({X: 2, Y: 1})) == f"ExactMultiset({{{X}: 2, {Y}: 1}})"
+
+    def test_not_equal_to_a_plain_mapping(self):
+        assert (ExactMultiset() == {}) is False
+        assert (ms({X: 1}) == {X: 1}) is False
 
 
 class TestAlgebra:

@@ -80,6 +80,11 @@ class TestWidthDerivation:
         with pytest.raises(BudgetTooSmallError):
             salsa_width(1, 1)
 
+    @pytest.mark.parametrize("memory_bytes,rows", [(0, 1), (10, 0)])
+    def test_nonpositive_sizes_refused(self, memory_bytes, rows):
+        with pytest.raises(ValueError):
+            salsa_width(memory_bytes, rows)
+
     def test_minimal_budget(self):
         assert salsa_width(3, 1) == 1
 

@@ -345,6 +345,9 @@ PER_ITEM = {
     "ExactMultiset": lambda a, b: ExactMultiset({x: 1 for x in items_of(a)}).jaccard(
         ExactMultiset({x: 1 for x in items_of(b)})
     ),
+    "multiplicity": lambda a, b: [
+        ExactMultiset.from_items([1, 2]).multiplicity(x) for x in [*items_of(a), *items_of(b)]
+    ],
     "OccurrenceItem": lambda a, b: [OccurrenceItem(x, 1).item_id() for x in [*items_of(a), *items_of(b)]],
     "OccurrenceItem occurrence": lambda a, b: [
         OccurrenceItem(7, x).item_id() for x in [*items_of(a), *items_of(b)]

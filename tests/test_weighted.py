@@ -8,7 +8,7 @@ from sketchsim.core import (
     SketchParams,
     UndefinedSimilarityError,
 )
-from sketchsim.sketches import WeightedSimilaritySketch
+from sketchsim.sketches import WeightedSimilaritySketch, weighted_row_similarity
 
 X1, X2, X3 = 111, 222, 333
 
@@ -176,6 +176,10 @@ class TestEstimate:
             mx = np.maximum(a.cm_counters[row], b.cm_counters[row])
             weights = mx / mx.sum()
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_all_zero_row_scores_zero(self):
+        zeros = np.zeros(4, dtype=np.int32)
+        assert weighted_row_similarity(zeros, zeros, zeros, zeros) == 0.0
 
     def test_both_empty_is_an_error(self):
         a, b = sketch(seed=1), sketch(seed=1)
