@@ -12,9 +12,12 @@ one per row, where collisions can over-report (cheaper, slightly lossy).
 Each has a streaming form over :class:`OccurrenceItem` and a vector form
 straight to 64-bit ids (``expand_exact_ids``, ``expand_cm_ids``) that
 gives the same ids. The vector forms take each key's running counts from
-``occurrence_numbers``, which sorts twice without a stable sort, and
-write each id over the occurrence number it is made from, one hashing
-chunk at a time.
+``occurrence_numbers``, which sorts three times in one int64 buffer
+that becomes its result, with no stable sort and no scatter. Its keys
+reach n² + n - 1, so it refuses a batch of more than
+``MAX_OCCURRENCE_BATCH`` (3,037,000,499) ids, where they would wrap
+int64. The vector forms then write each id over the occurrence number
+it is made from, one hashing chunk at a time.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -97,50 +100,82 @@ def expand_exact(stream: Iterable[ItemId]) -> Iterator[OccurrenceItem]:
     yield from _expanded(stream, lambda item: (item,))
 
 
+# The longest batch whose occurrence_numbers keys fit in int64.
+MAX_OCCURRENCE_BATCH = 3_037_000_499
+
+
 def occurrence_numbers(items: np.ndarray) -> np.ndarray:
     """Vector form of the exact expansion's occurrence counter.
 
     Returns, per position, how many times that value has appeared in the
     array up to and including the position.
 
-    Two unstable sorts stand in for one stable argsort, which is slower:
-    the first groups equal values into runs, and a sort of the unique
-    keys ``run·n + position``, where ``run`` is the sorted slot at which
-    a value's run starts, then puts each run back in arrival order. The
-    keys stay below n², which fits in int64 below 3·10⁹ items. Besides
-    the result, only the order and the run starts are as long as the
-    array; the rest works a chunk at a time.
+    Three unstable sorts in one int64 buffer stand in for a stable
+    argsort and a scatter, and that buffer is the result. The argsort
+    groups equal values into runs of sorted slots. Each slot then holds
+    the key ``run·n + position``, where ``run`` is the slot at which its
+    value's run starts, and a sort of these unique keys puts each run
+    back in arrival order. A slot's rank in its run is its occurrence
+    number, so each slot then holds ``position·(n+1) + rank``, and a
+    last sort leaves slot i holding ``i·(n+1) + occurrence``: the
+    positions are a permutation, and ``rank <= n``. The keys stay at or
+    below n² + n - 1, which fits in int64 up to
+    :data:`MAX_OCCURRENCE_BATCH` items; a longer batch raises
+    ``ValueError`` before anything is allocated. Besides the buffer,
+    only chunk buffers are held.
     """
+    if np.size(items) > MAX_OCCURRENCE_BATCH:
+        raise ValueError(
+            f"occurrence_numbers takes at most {MAX_OCCURRENCE_BATCH:,} items, "
+            f"got {np.size(items):,}"
+        )
     items = item_ids(items)
     n = len(items)
-    order = np.argsort(items)
-    run = np.empty(n, dtype=np.int64)
+    keys = np.argsort(items)
+    size = min(n, HASH_CHUNK)
+    steps = np.arange(size)
+    run, values, new = np.empty(size, np.int64), np.empty(size, np.uint64), np.empty(size, bool)
     start, last = 0, None
     for lo in range(0, n, HASH_CHUNK):
-        out, slots = run[lo : lo + HASH_CHUNK], order[lo : lo + HASH_CHUNK]
-        values = items[slots]
-        # A run starts where a sorted value differs from the one before it.
-        new = np.empty(len(values), dtype=bool)
-        new[0] = lo == 0 or values[0] != last
-        np.not_equal(values[1:], values[:-1], out=new[1:])
-        out.fill(start)
-        np.copyto(out, np.arange(lo, lo + len(out)), where=new)
-        np.maximum.accumulate(out, out=out)
-        start, last = out[-1], values[-1]
-        slots += out * n
-    # Dropped before the sort and the scatter allocate, so that values a
-    # caller passed unnamed are freed here (values is unbound at n = 0).
-    items = values = None
-    # Each run keeps its slots, so run[i] still names slot i's run.
-    order.sort()
+        slots = keys[lo : lo + HASH_CHUNK]
+        m = len(slots)
+        v, r, fresh = np.take(items, slots, out=values[:m]), run[:m], new[:m]
+        # A run starts where a sorted value differs from the one before
+        # it. Its start is carried relative to the chunk, then made whole.
+        fresh[0] = lo == 0 or v[0] != last
+        np.not_equal(v[1:], v[:-1], out=fresh[1:])
+        r.fill(start - lo)
+        np.copyto(r, steps[:m], where=fresh)
+        np.maximum.accumulate(r, out=r)
+        r += lo
+        start, last = r[-1], v[-1]
+        r *= n
+        slots += r
+    # Dropped before the sort, so that values a caller passed unnamed
+    # are freed here.
+    items = None
+    # Each run keeps its slots, so slot i's key still names its run.
+    keys.sort()
     for lo in range(0, n, HASH_CHUNK):
-        out = run[lo : lo + HASH_CHUNK]
-        order[lo : lo + HASH_CHUNK] -= out * n
-        # The rank within the run: slot minus the run's start, plus one.
-        np.subtract(np.arange(lo + 1, lo + 1 + len(out)), out, out=out)
-    occ = np.empty(n, dtype=np.int64)
-    occ[order] = run
-    return occ
+        key = keys[lo : lo + HASH_CHUNK]
+        m = len(key)
+        # The key splits into the run's start and the position. (A
+        # divmod takes three times as long as this division by a scalar.)
+        r = np.floor_divide(key, n, out=run[:m])
+        key -= r * n
+        # The rank is the slot minus the run's start, plus one.
+        np.subtract(lo + 1, r, out=r)
+        r += steps[:m]
+        key *= n + 1
+        key += r
+    keys.sort()
+    for lo in range(0, n, HASH_CHUNK):
+        key = keys[lo : lo + HASH_CHUNK]
+        m = len(key)
+        r = np.add(steps[:m], lo, out=run[:m])
+        r *= n + 1
+        key -= r
+    return keys
 
 
 def _occurrence_ids(items: np.ndarray, occ: np.ndarray) -> np.ndarray:
@@ -256,18 +291,6 @@ class CardinalityEstimate:
     (2.5*L, 2^32/30]; outside it the formula is reported uncorrected."""
 
 
-def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Exact ``int.bit_length`` of each uint64, as int64.
-
-    Shifting out the low 32 bits of values that have high bits leaves
-    numbers below 2**32, which float64 holds exactly, so frexp's exponent
-    is their bit length (0 for 0). The whole value in float64 would round.
-    """
-    shift = (values >> np.uint64(32) != 0).astype(np.uint64) << np.uint64(5)
-    _, length = np.frexp((values >> shift).astype(np.float64))
-    return length + shift.astype(np.int64)
-
-
 class HllSketch(_SetSketch):
     """2^M max-rank registers over a 64-bit hash."""
 
@@ -292,13 +315,29 @@ class HllSketch(_SetSketch):
 
     def _insert(self, items: np.ndarray) -> None:
         # Chunk by chunk: the register maximum does not depend on the
-        # order or the cut of the stream.
+        # order or the cut of the stream. Each chunk is ranked in buffers
+        # allocated once, and the pass's hash buffer keeps the buckets.
         value_bits = 64 - self.m_bits
+        size = min(items.size, HASH_CHUNK)
+        values, floats = np.empty(size, np.uint64), np.empty(size, np.float64)
+        lengths = np.empty(size, np.int8)
         for _, (h,) in self.hash.chunk_hashes(items, (HashKind.BIT,)):
-            buckets = (h >> np.uint64(value_bits)).view(np.int64)
-            h &= np.uint64((1 << value_bits) - 1)  # in place: h keeps the value bits
-            rho = value_bits - _bit_length(h) + 1
-            np.maximum.at(self.registers, buckets, rho.astype(np.uint8))
+            v, f, e = values[: h.size], floats[: h.size], lengths[: h.size]
+            np.bitwise_and(h, np.uint64((1 << value_bits) - 1), out=v)
+            np.right_shift(h, np.uint64(value_bits), out=h)
+            # frexp's exponent is the bit length (0 for 0) unless float64
+            # rounds the value up to the next power of two, which needs
+            # its top 53 bits all ones. Clearing each bit that lies 53
+            # places below a set bit then clears every bit under them,
+            # and never touches those 53, so the value converts exactly.
+            # The float buffer, read as uint64, holds the mask first.
+            mask = np.right_shift(v, np.uint64(53), out=f.view(np.uint64))
+            v &= np.invert(mask, out=mask)
+            f[...] = v
+            np.frexp(f, out=(f, e))
+            # The rank: value_bits + 1 minus the bit length, in [1, 64].
+            np.subtract(value_bits + 1, e, out=e)
+            np.maximum.at(self.registers, h.view(np.int64), e.view(np.uint8))
 
     def union(self, other: "HllSketch") -> "HllSketch":
         """Register-wise maximum: exactly the sketch of the union stream."""

@@ -131,8 +131,9 @@ def random_split(
     for lo, k in zip(starts, counts):
         chunk = stream[lo : lo + ZIPF_CHUNK]
         mask = rng.random(len(chunk)) < p
-        first[i : i + k] = chunk[mask]
+        np.compress(mask, chunk, out=first[i : i + k])
         # The lo - i elements before this chunk that are not first are second.
-        second[lo - i : lo - i + len(chunk) - k] = chunk[~mask]
+        j = lo - i
+        np.compress(np.logical_not(mask, out=mask), chunk, out=second[j : j + len(chunk) - k])
         i += k
     return first, second

@@ -50,12 +50,20 @@ def random_stream_pair(rng, n_a, n_b, universe=64, id_offset=10_000):
 def traced_peak(fn, *args):
     """``(peak, result)``: the most bytes ``fn(*args)`` held at once, and what it returned.
 
-    Only allocations made during the call count, so the arguments are not.
+    Only allocations made during the call count, so the arguments are not,
+    even when tracing was already on (``PYTHONTRACEMALLOC=1``): the peak is
+    reset, and the bytes traced at the start are subtracted. A trace that
+    was on before the call stays on after it.
     """
-    tracemalloc.start()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
     return peak, result

@@ -5,8 +5,8 @@ the reference: Zipf sampling against a full-length ``searchsorted``
 inversion, the split against one full-length draw and mask,
 ``multiset_jaccard`` against ``ExactMultiset``, ``occurrence_numbers``
 against a stable argsort, and the expansion adapters against their
-full-length ``mix64_array`` form. The split and both expansions are
-also held to bounds on the memory they allocate.
+full-length ``mix64_array`` form. The split, ``occurrence_numbers``
+and both expansions are also held to bounds on the memory they allocate.
 """
 
 import math
@@ -144,6 +144,13 @@ class TestMultisetJaccard:
         assert multiset_jaccard(a, b) == reference_jaccard(a, b)
 
 
+def _expansion_batch(distinct: bool) -> np.ndarray:
+    """500k ids: Zipf draws from 50k values, or nearly all distinct."""
+    if distinct:
+        return np.random.default_rng(3).integers(0, 1 << 64, size=500_000, dtype=np.uint64)
+    return zipf_stream(ZipfSpec(500_000, 50_000, 0.6, 2))
+
+
 class TestOccurrenceNumbers:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -166,6 +173,21 @@ class TestOccurrenceNumbers:
             0, universe, size=300_000, dtype=np.uint64
         )
         assert np.array_equal(occurrence_numbers(items), reference_occurrence_numbers(items))
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["zipf", "distinct"])
+    def test_holds_under_1_5_batches(self, distinct):
+        items = _expansion_batch(distinct)
+        peak, occ = traced_peak(occurrence_numbers, items)
+        # The sort buffer, which becomes the result, and a few chunk buffers.
+        assert occ.nbytes == items.nbytes
+        assert peak < 1.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
+
+    def test_refuses_a_batch_whose_keys_would_wrap(self):
+        # A zero-stride view of 3,037,000,500 ids: the check must come
+        # before anything as long as the batch is allocated.
+        items = np.broadcast_to(np.uint64(0), (3_037_000_500,))
+        with pytest.raises(ValueError, match="3,037,000,499"):
+            occurrence_numbers(items)
 
 
 class TestExpansion:
@@ -191,21 +213,34 @@ class TestExpansion:
 
     @pytest.mark.parametrize("distinct", [False, True], ids=["zipf", "distinct"])
     def test_exact_expansion_holds_under_3_5_batches(self, distinct):
-        if distinct:
-            items = np.random.default_rng(3).integers(0, 1 << 64, size=500_000, dtype=np.uint64)
-        else:
-            items = zipf_stream(ZipfSpec(500_000, 50_000, 0.6, 2))
+        items = _expansion_batch(distinct)
         peak, ids = traced_peak(expand_exact_ids, items)
-        # The result, the sort order, the run starts and a few chunk
-        # buffers, however many values are distinct.
+        # However many values are distinct.
+        assert ids.nbytes == items.nbytes
+        assert peak < 3.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["zipf", "distinct"])
+    def test_exact_expansion_holds_under_1_5_batches(self, distinct):
+        items = _expansion_batch(distinct)
+        peak, ids = traced_peak(expand_exact_ids, items)
+        # The ids are written over the occurrence numbers, so besides
+        # them only chunk buffers are held.
+        assert ids.nbytes == items.nbytes
+        assert peak < 1.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
+
+    def test_cm_expansion_holds_under_3_5_batches(self):
+        items = _expansion_batch(False)
+        params = SketchParams(rows=2, width=8192, master_seed=1)
+        peak, ids = traced_peak(expand_cm_ids, items, params)
+        # The running minimum, and the second row's buckets and sort
+        # buffer: the buckets are freed once numbered.
         assert ids.nbytes == items.nbytes
         assert peak < 3.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
 
     def test_cm_expansion_holds_under_4_3_batches(self):
-        items = zipf_stream(ZipfSpec(500_000, 50_000, 0.6, 2))
+        items = _expansion_batch(False)
         params = SketchParams(rows=2, width=8192, master_seed=1)
         peak, ids = traced_peak(expand_cm_ids, items, params)
-        # A row's occurrence numbers, sort order and run starts, and the
-        # running minimum: the row's buckets are freed once sorted.
+        # The running minimum, and a row's buckets and sort buffer.
         assert ids.nbytes == items.nbytes
         assert peak < 4.3 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"

@@ -265,6 +265,14 @@ class TestSetBaselinesHoldNoBatchArray:
         peak, _ = traced_peak(s.insert_many, items)
         assert peak < 4 << 20, f"peak {peak} bytes for a {items.nbytes}-byte batch"
 
+    def test_hll_ranks_each_chunk_in_reused_buffers(self):
+        # The pass's three chunk buffers and three more for the ranks,
+        # each allocated once per insert: well under 1.5 MiB.
+        s = HllSketch(master_seed=1)
+        items = np.random.default_rng(0).integers(0, 1 << 63, size=2_000_000, dtype=np.uint64)
+        peak, _ = traced_peak(s.insert_many, items)
+        assert peak < 1.5 * (1 << 20), f"peak {peak} bytes for a {items.nbytes}-byte batch"
+
 
 class TestGridRange:
     @pytest.mark.parametrize("cls,field,sign", FIELD_CAPS)
