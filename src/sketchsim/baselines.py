@@ -13,9 +13,9 @@ Each has a streaming form over :class:`OccurrenceItem` and a vector form
 straight to 64-bit ids (``expand_exact_ids``, ``expand_cm_ids``) that
 gives the same ids. The vector forms take each key's running counts from
 ``occurrence_numbers``, which sorts three times in one int64 buffer
-that becomes its result, with no stable sort and no scatter. Its keys
-reach n² + n - 1, so it refuses a batch of more than
-``MAX_OCCURRENCE_BATCH`` (3,037,000,499) ids, where they would wrap
+that becomes its result, with no stable sort and no scatter, and ends in
+one remainder. Its keys reach n² + n - 1, so it refuses a batch of more
+than ``MAX_OCCURRENCE_BATCH`` (3,037,000,499) ids, where they would wrap
 int64. The vector forms then write each id over the occurrence number
 it is made from, one hashing chunk at a time.
 
@@ -33,10 +33,12 @@ which runs ``insert_many`` and ``estimate_jaccard`` around each one's
 of arrivals, the checks before a comparison, which raise
 ``IncompatibleSketchError`` across types, sizes or seeds and
 ``UndefinedSimilarityError`` for two empty sketches, the 0.0 of one
-empty side, and the clamp. ``from_budget`` ignores
-``rows`` and gives MinHash and MaxLogHash ``k = max(1, memory_bytes //
-8)`` registers, DotHash as many coordinates, and HLL ``m_bits``, the
-largest m with 2**m <= memory_bytes, clamped to [4, 26].
+empty side, and the clamp. ``from_budget`` refuses a nonpositive
+``memory_bytes`` or ``rows`` with ``ValueError``, as the counter sketches
+do, and otherwise ignores ``rows``. It gives MinHash and MaxLogHash
+``k = max(1, memory_bytes // 8)`` registers, DotHash as many
+coordinates, and HLL ``m_bits``, the largest m with 2**m <=
+memory_bytes, clamped to [4, 26].
 """
 
 from __future__ import annotations
@@ -116,13 +118,13 @@ def occurrence_numbers(items: np.ndarray) -> np.ndarray:
     the key ``run·n + position``, where ``run`` is the slot at which its
     value's run starts, and a sort of these unique keys puts each run
     back in arrival order. A slot's rank in its run is its occurrence
-    number, so each slot then holds ``position·(n+1) + rank``, and a
-    last sort leaves slot i holding ``i·(n+1) + occurrence``: the
-    positions are a permutation, and ``rank <= n``. The keys stay at or
-    below n² + n - 1, which fits in int64 up to
-    :data:`MAX_OCCURRENCE_BATCH` items; a longer batch raises
-    ``ValueError`` before anything is allocated. Besides the buffer,
-    only chunk buffers are held.
+    number, so each slot then holds ``position·(n+1) + rank``. The
+    positions are a permutation, so a last sort leaves slot i holding
+    ``i·(n+1) + occurrence``, and as ``1 <= rank <= n``, one in-place
+    remainder by n + 1 leaves the occurrence. The keys stay at or below
+    n² + n - 1, which fits in int64 up to :data:`MAX_OCCURRENCE_BATCH`
+    items; a longer batch raises ``ValueError`` before anything is
+    allocated. Besides the buffer, only chunk buffers are held.
     """
     if np.size(items) > MAX_OCCURRENCE_BATCH:
         raise ValueError(
@@ -169,13 +171,7 @@ def occurrence_numbers(items: np.ndarray) -> np.ndarray:
         key *= n + 1
         key += r
     keys.sort()
-    for lo in range(0, n, HASH_CHUNK):
-        key = keys[lo : lo + HASH_CHUNK]
-        m = len(key)
-        r = np.add(steps[:m], lo, out=run[:m])
-        r *= n + 1
-        key -= r
-    return keys
+    return np.remainder(keys, n + 1, out=keys)
 
 
 def _occurrence_ids(items: np.ndarray, occ: np.ndarray) -> np.ndarray:
@@ -243,6 +239,10 @@ class _SetSketch(_Sketch):
 
     @classmethod
     def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
+        if memory_bytes < 1 or rows < 1:
+            raise ValueError(
+                f"memory_bytes and rows must be positive, got ({memory_bytes}, {rows})"
+            )
         return cls(cls._budget_size(memory_bytes), master_seed=master_seed)
 
     @staticmethod

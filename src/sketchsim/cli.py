@@ -37,17 +37,18 @@ def _write_binary(path: str, stream: np.ndarray) -> None:
 
 def _cmd_gen_zipf(args: argparse.Namespace) -> int:
     spec = ZipfSpec(args.n_items, args.n_distinct, args.alpha, args.seed)
+    split = args.split_p is not None
+    if split and (args.out or not (args.out_a and args.out_b)):
+        raise ValueError("gen-zipf: --split-p requires --out-a and --out-b and no --out")
+    if not split and (args.out_a or args.out_b or not args.out):
+        raise ValueError("gen-zipf: --out required without --split-p; --out-a/--out-b need it")
     stream = zipf_stream(spec)
-    if args.split_p is not None:
-        if not (args.out_a and args.out_b):
-            raise ValueError("gen-zipf: --split-p requires --out-a and --out-b")
+    if split:
         left, right = random_split(stream, args.split_p, split_seed(args.seed))
         _write_binary(args.out_a, left)
         _write_binary(args.out_b, right)
         print(f"wrote {len(left)} items to {args.out_a}, {len(right)} to {args.out_b}")
     else:
-        if not args.out:
-            raise ValueError("gen-zipf: --out required without --split-p")
         _write_binary(args.out, stream)
         print(f"wrote {len(stream)} items to {args.out}")
     return 0

@@ -1,9 +1,9 @@
 """Synthetic Zipf streams and random splitting into stream pairs.
 
 ``zipf_stream`` inverts the Zipf CDF by table lookup. It draws its
-uniforms in chunks of ``ZIPF_CHUNK``, which yields the same doubles as
-one draw of the whole length, and maps each through a guide table
-(Chen & Asau, 1974) of a power-of-two number of equal-width buckets.
+uniforms in chunks of ``hashing.HASH_CHUNK``, which yields the same
+doubles as one draw of the whole length, and maps each through a guide
+table (Chen & Asau, 1974) of a power-of-two number of equal-width buckets.
 The table is built by counting how many CDF entries fall at or below
 each bucket's left end, which is exact because that number of buckets
 is a power of two. A uniform whose bucket holds at most one CDF entry is
@@ -12,8 +12,8 @@ Both give exactly the index ``np.searchsorted(cdf, u, side="right")``
 would, so the stream depends on the seed alone, and no temporary is
 longer than a chunk or the table.
 
-``random_split`` walks its uniforms in the same chunks, so it too holds
-nothing longer than a chunk apart from its outputs.
+``random_split`` walks its uniforms in the same chunks and takes each side
+by index, so it too holds nothing longer than a chunk beside its outputs.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sketchsim.core import item_ids
-from sketchsim.hashing import mix64, mix64_array
-
-# Uniforms drawn per step of zipf_stream and random_split.
-ZIPF_CHUNK = 1 << 16
+from sketchsim.hashing import HASH_CHUNK, mix64, mix64_array
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,8 @@ def zipf_stream(spec: ZipfSpec) -> np.ndarray:
     start[np.diff(edges) > 1] = -1
     rng = np.random.default_rng(spec.seed)
     out = np.empty(spec.n_items, dtype=np.uint64)
-    for lo in range(0, spec.n_items, ZIPF_CHUNK):
-        u = rng.random(min(ZIPF_CHUNK, spec.n_items - lo))
+    for lo in range(0, spec.n_items, HASH_CHUNK):
+        u = rng.random(min(HASH_CHUNK, spec.n_items - lo))
         first = start[(u * m).astype(np.intp)]
         slow = first < 0
         # A bucket holding at most one CDF entry maps u to edges[j], plus
@@ -112,28 +109,29 @@ def random_split(
     Order is preserved within each output, and the two outputs partition
     the input: their multiset sum equals the input multiset exactly.
     Element i goes first when the i-th uniform drawn with ``seed`` is
-    below p. The draws are walked twice in chunks of ``ZIPF_CHUNK``,
+    below p. The draws are walked twice in chunks of ``HASH_CHUNK``,
     which yields the same doubles as one full-length draw: once to size
-    the two outputs, then again to fill them, so apart from the outputs
-    no temporary is longer than a chunk.
+    the two outputs, then again to fill them by index, so apart from the
+    outputs no temporary is longer than a chunk.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     stream = item_ids(stream)
     n = len(stream)
-    starts = range(0, n, ZIPF_CHUNK)
+    starts = range(0, n, HASH_CHUNK)
     rng = np.random.default_rng(seed)
-    counts = [np.count_nonzero(rng.random(min(ZIPF_CHUNK, n - lo)) < p) for lo in starts]
+    counts = [np.count_nonzero(rng.random(min(HASH_CHUNK, n - lo)) < p) for lo in starts]
     first = np.empty(sum(counts), dtype=np.uint64)
     second = np.empty(n - len(first), dtype=np.uint64)
     rng = np.random.default_rng(seed)
     i = 0
     for lo, k in zip(starts, counts):
-        chunk = stream[lo : lo + ZIPF_CHUNK]
+        chunk = stream[lo : lo + HASH_CHUNK]
         mask = rng.random(len(chunk)) < p
-        np.compress(mask, chunk, out=first[i : i + k])
+        # np.compress would copy its out slice; take in "clip" mode does not.
+        np.take(chunk, np.flatnonzero(mask), out=first[i : i + k], mode="clip")
         # The lo - i elements before this chunk that are not first are second.
         j = lo - i
-        np.compress(np.logical_not(mask, out=mask), chunk, out=second[j : j + len(chunk) - k])
+        np.take(chunk, np.flatnonzero(~mask), out=second[j : j + len(chunk) - k], mode="clip")
         i += k
     return first, second

@@ -137,51 +137,46 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
         while block := list(itertools.islice(fh, READ_BLOCK)):
             if len(memo) > 4 * READ_BLOCK:
                 memo = _LineIds(memo.ipcsv)
-            # Lines are looked up in order and every earlier line passed,
-            # so the line that fails is the first failing line of the file.
             try:
-                rows = np.fromiter(map(memo.__getitem__, block), np.intp, len(block))
-            except _BadLine as exc:
-                lineno = n + block.index(exc.args[0]) + 1
-                raise StreamFormatError(f"{path}: line {lineno}: {exc.args[1]}") from None
+                ids = np.fromiter(map(memo.__getitem__, block), np.uint64, len(block))
+            except StreamFormatError as exc:
+                # Lines are looked up in order and a failing line is never
+                # stored, so the block's first line missing from the memo
+                # is the first failing line of the file.
+                lineno = n + next(i for i, line in enumerate(block) if line not in memo) + 1
+                raise StreamFormatError(f"{path}: line {lineno}: {exc}") from None
             if n + len(block) > out.size:
                 out.resize(max(n + len(block), out.size + out.size // 4), refcheck=False)
-            np.take(np.frombuffer(memo.digests, "<u8"), rows, out=out[n : n + len(block)])
+            out[n : n + len(block)] = ids
             n += len(block)
     out.resize(n, refcheck=False)
     return out
 
 
-class _BadLine(Exception):
-    """A line that fails its checks; ``args`` are the line and the reason."""
-
-
 class _LineIds(dict):
-    """Maps a raw line to its row in ``digests``; a new line is checked and hashed."""
+    """Maps a raw line to its id; a new line is checked and hashed."""
 
     def __init__(self, ipcsv: bool) -> None:
         super().__init__()
         self.ipcsv = ipcsv
-        self.digests = bytearray()
 
     def __missing__(self, line: str) -> int:
         token = line.strip()
         if not token:
-            raise _BadLine(line, "empty token")
+            raise StreamFormatError("empty token")
         if self.ipcsv:
             src, comma, dst = token.partition(",")
             if not comma or "," in dst:
-                raise _BadLine(line, f"expected 'src,dst', got {token!r}")
+                raise StreamFormatError(f"expected 'src,dst', got {token!r}")
             src, dst = src.strip(), dst.strip()
             if not (src and dst):
-                raise _BadLine(line, f"empty field in {token!r}")
+                raise StreamFormatError(f"empty field in {token!r}")
             token = src + "," + dst
         try:
-            self.digests += token_digest(token)
+            value = self[line] = token_id(token)
         except UnicodeEncodeError:
-            raise _BadLine(line, "not valid UTF-8") from None
-        row = self[line] = len(self)
-        return row
+            raise StreamFormatError("not valid UTF-8") from None
+        return value
 
 
 # -- Metrics ------------------------------------------------------------

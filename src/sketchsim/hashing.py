@@ -59,9 +59,10 @@ def mix64(x: int) -> int:
     return x
 
 
-# Items per step of the chunked hashing pass. Its few uint64 buffers of
-# this length (256 KB each) stay in cache while every (row, kind) of a
-# chunk is mixed.
+# Items per step of every chunked pass: the hashing pass, occurrence_numbers
+# and the expanded ids in baselines, and zipf_stream and random_split. The
+# hashing pass's few uint64 buffers of this length (256 KB each) stay in
+# cache while every (row, kind) of a chunk is mixed.
 HASH_CHUNK = 1 << 15
 
 

@@ -479,6 +479,14 @@ class TestFromBudget:
         assert (minhash.k, maxloghash.k, dothash.d, hll.m_bits) == (registers, registers, registers, m_bits)
         assert all(s.master_seed == 5 for s in sketches)
 
+    @pytest.mark.parametrize("cls", [MinHashSketch, MaxLogHashSketch, DotHashSketch, HllSketch])
+    @pytest.mark.parametrize("budget, rows", [(0, 1), (-8, 1), (1024, 0)])
+    def test_impossible_budgets_are_refused(self, cls, budget, rows):
+        # As the counter sketches refuse them through derive_width.
+        message = rf"memory_bytes and rows must be positive, got \({budget}, {rows}\)"
+        with pytest.raises(ValueError, match=message):
+            cls.from_budget(budget, rows, 5)
+
     @pytest.mark.parametrize(
         "make",
         [

@@ -217,6 +217,21 @@ class TestErrors:
         err = self.run_failing(["gen-zipf", "--n-items", "10", "--n-distinct", "5"], capsys)
         assert "--out required without --split-p" in err
 
+    def test_gen_zipf_refuses_out_with_split(self, tmp_path, capsys):
+        argv = ["gen-zipf", "--n-items", "10", "--n-distinct", "5", "--split-p", "0.5"]
+        argv += ["--out", str(tmp_path / "s.bin")]
+        argv += ["--out-a", str(tmp_path / "a.bin"), "--out-b", str(tmp_path / "b.bin")]
+        err = self.run_failing(argv, capsys)
+        assert "gen-zipf: --split-p requires --out-a and --out-b and no --out" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_gen_zipf_refuses_split_paths_without_split(self, tmp_path, capsys):
+        argv = ["gen-zipf", "--n-items", "10", "--n-distinct", "5", "--out", str(tmp_path / "s.bin")]
+        argv += ["--out-a", str(tmp_path / "a.bin")]
+        err = self.run_failing(argv, capsys)
+        assert "--out-a/--out-b need it" in err
+        assert not list(tmp_path.iterdir())
+
     def test_budget_too_small(self, capsys):
         argv = ["estimate", "--algo", "cm", "--memory-bytes", "2", "--n-items", "100", "--n-distinct", "10"]
         err = self.run_failing(argv, capsys)

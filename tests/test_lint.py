@@ -1,9 +1,15 @@
 """Static checks over the package and its tests."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from collections import Counter
 from pathlib import Path
+
+import sketchsim
+from sketchsim.core import SketchError
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -146,3 +152,25 @@ def test_ids_are_cast_to_uint64_only_by_the_id_rule():
         )
     ]
     assert not casts, "uint64 casts outside core.item_ids: " + ", ".join(casts)
+
+
+def test_every_exception_is_a_sketch_error():
+    # Every error the package defines is typed: a caller catches them all
+    # as SketchError.
+    modules = [
+        sketchsim,
+        *(
+            importlib.import_module(f"sketchsim.{info.name}")
+            for info in pkgutil.iter_modules(sketchsim.__path__)
+        ),
+    ]
+    assert len(modules) == len(list(ROOT.glob("src/sketchsim/*.py")))
+    untyped = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in inspect.getmembers(module, inspect.isclass)
+        if obj.__module__ == module.__name__
+        and issubclass(obj, BaseException)
+        and not issubclass(obj, SketchError)
+    ]
+    assert not untyped, "exceptions outside SketchError: " + ", ".join(untyped)

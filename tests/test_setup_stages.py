@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from sketchsim.baselines import expand_cm_ids, expand_exact_ids, occurrence_numbers
 from sketchsim.core import SketchParams, UndefinedSimilarityError
-from sketchsim.datagen import ZIPF_CHUNK, ZipfSpec, random_split, rank_ids, zipf_stream
+from sketchsim.datagen import ZipfSpec, random_split, rank_ids, zipf_stream
 from sketchsim.hashing import HASH_CHUNK, HashFamily, mix64_array
 from sketchsim.oracle import ExactMultiset, multiset_jaccard
 
@@ -63,12 +63,12 @@ class TestZipfSampler:
         st.sampled_from([0.0, 0.6, 1.0, 2.0, math.inf]),
         st.sampled_from([1, 2, 3, 7, 1000, 1 << 16, 200_000]) | st.integers(1, 5000),
         st.sampled_from(
-            [1, ZIPF_CHUNK - 1, ZIPF_CHUNK, ZIPF_CHUNK + 1, 3 * ZIPF_CHUNK + 12_345]
+            [1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1, 3 * HASH_CHUNK + 12_345]
         ),
         st.integers(0, 1 << 32),
     )
-    @example(0.6, 200_000, 3 * ZIPF_CHUNK + 12_345, 1)
-    @example(math.inf, 1, ZIPF_CHUNK + 1, 0)
+    @example(0.6, 200_000, 3 * HASH_CHUNK + 12_345, 1)
+    @example(math.inf, 1, HASH_CHUNK + 1, 0)
     def test_matches_searchsorted_inversion(self, alpha, n_distinct, n_items, seed):
         spec = ZipfSpec(n_items, n_distinct, alpha, seed)
         assert np.array_equal(zipf_stream(spec), reference_zipf_stream(spec))
@@ -76,13 +76,13 @@ class TestZipfSampler:
     def test_steep_law_takes_the_fallback_search(self):
         # At alpha = 3 most tail ranks share a bucket with their neighbours,
         # so a long stream draws many uniforms that need the binary search.
-        spec = ZipfSpec(4 * ZIPF_CHUNK, 50_000, 3.0, 11)
+        spec = ZipfSpec(4 * HASH_CHUNK, 50_000, 3.0, 11)
         assert np.array_equal(zipf_stream(spec), reference_zipf_stream(spec))
 
 
 class TestRandomSplit:
     @pytest.mark.parametrize(
-        "n", [0, 1, ZIPF_CHUNK - 1, ZIPF_CHUNK + 1, 3 * ZIPF_CHUNK + 12_345]
+        "n", [0, 1, HASH_CHUNK - 1, HASH_CHUNK + 1, 3 * HASH_CHUNK + 12_345]
     )
     @pytest.mark.parametrize("p", [1e-12, 0.3, 1 - 1e-12])
     def test_matches_one_full_length_draw(self, n, p):
@@ -98,6 +98,15 @@ class TestRandomSplit:
         outputs = first.nbytes + second.nbytes
         # Beyond the two outputs, a chunk's uniforms, mask and selection.
         assert peak < outputs + (1 << 20), f"peak {peak} bytes for {outputs} bytes of outputs"
+
+    def test_holds_one_chunk_of_uniforms_beyond_its_outputs(self):
+        # Beyond the two outputs: one chunk's uniforms (256 KB at HASH_CHUNK
+        # items) and two chunk masks. Selecting by index writes each out
+        # slice in place, where np.compress copies it.
+        stream = zipf_stream(ZipfSpec(2_000_000, 100_000, 0.6, 1))
+        peak, (first, second) = traced_peak(random_split, stream, 0.5, 3)
+        outputs = first.nbytes + second.nbytes
+        assert peak < outputs + (1 << 19), f"peak {peak} bytes for {outputs} bytes of outputs"
 
 
 def _pool_streams():
