@@ -22,7 +22,6 @@ from sketchsim.baselines import (
     OccurrenceItem,
     expand_cm,
     expand_cm_ids,
-    expand_exact,
     expand_exact_ids,
 )
 from sketchsim.datagen import ZipfSpec, random_split, zipf_stream
@@ -82,7 +81,6 @@ __all__ = [
     "derive_width",
     "expand_cm",
     "expand_cm_ids",
-    "expand_exact",
     "expand_exact_ids",
     "mix64",
     "multiset_jaccard",

@@ -9,15 +9,15 @@ rule: each arrival counts its keys, and its number is the least running
 count among them. The exact adapter's one key is the item itself, so no
 two items share one; the cm adapter's keys are its count-min buckets,
 one per row, where collisions can over-report (cheaper, slightly lossy).
-Each has a streaming form over :class:`OccurrenceItem` and a vector form
-straight to 64-bit ids (``expand_exact_ids``, ``expand_cm_ids``) that
-gives the same ids. The vector forms take each key's running counts from
-``occurrence_numbers``, which sorts three times in one int64 buffer
-that becomes its result, with no stable sort and no scatter, and ends in
-one remainder. Its keys reach n² + n - 1, so it refuses a batch of more
-than ``MAX_OCCURRENCE_BATCH`` (3,037,000,499) ids, where they would wrap
-int64. The vector forms then write each id over the occurrence number
-it is made from, one hashing chunk at a time.
+Each adapter maps a batch straight to 64-bit ids (``expand_exact_ids``,
+``expand_cm_ids``), and ``expand_cm`` yields the cm adapter's numbers
+from the same array as :class:`OccurrenceItem` pairs. Both take each
+key's running counts from ``occurrence_numbers``, which sorts three times
+in one int64 buffer that becomes its result, with no stable sort and no
+scatter, and ends in one remainder. Its keys reach n² + n - 1, so it
+refuses a batch of more than ``MAX_OCCURRENCE_BATCH`` (3,037,000,499)
+ids, where they would wrap int64. The adapters then write each id over
+the occurrence number it is made from, one hashing chunk at a time.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -43,9 +43,8 @@ memory_bytes, clamped to [4, 26].
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -88,26 +87,12 @@ class OccurrenceItem:
         return mix64(mix64(self.base) ^ self.occurrence)
 
 
-def _expanded(stream: Iterable[ItemId], keys_of: Callable) -> Iterator[OccurrenceItem]:
-    """Count each arrival's keys, and tag it with their least running count."""
-    counts = Counter()
-    for item in map(integer_id, stream):
-        keys = keys_of(item)
-        counts.update(keys)
-        yield OccurrenceItem(base=item, occurrence=min(counts[key] for key in keys))
-
-
-def expand_exact(stream: Iterable[ItemId]) -> Iterator[OccurrenceItem]:
-    """Tag each arrival with its exact running count: its one key is itself."""
-    yield from _expanded(stream, lambda item: (item,))
-
-
 # The longest batch whose occurrence_numbers keys fit in int64.
 MAX_OCCURRENCE_BATCH = 3_037_000_499
 
 
 def occurrence_numbers(items: np.ndarray) -> np.ndarray:
-    """Vector form of the exact expansion's occurrence counter.
+    """The exact expansion's occurrence counter.
 
     Returns, per position, how many times that value has appeared in the
     array up to and including the position.
@@ -196,14 +181,13 @@ def expand_exact_ids(items: np.ndarray) -> np.ndarray:
     return _occurrence_ids(items, occurrence_numbers(items).view(np.uint64))
 
 
-def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
-    """Vector form of :func:`expand_cm`, straight to combined 64-bit ids.
+def _cm_occurrences(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
+    """Each arrival's count-min occurrence number, as int64.
 
     The count-min counter an arrival reads is the running count of its
     bucket, so its occurrence number is the minimum over rows of the
     bucket sequence's exact occurrence numbers.
     """
-    items = item_ids(items)
     family = HashFamily(cm_params.master_seed, cm_params.rows)
     occ = None
     for row in range(cm_params.rows):
@@ -212,23 +196,28 @@ def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
             family.index_hash_many(items, row, cm_params.width).view(np.uint64)
         )
         occ = row_occ if occ is None else np.minimum(occ, row_occ, out=occ)
-    return _occurrence_ids(items, occ.view(np.uint64))
+    return occ
+
+
+def expand_cm_ids(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
+    """Count-min occurrence expansion straight to combined 64-bit ids."""
+    items = item_ids(items)
+    return _occurrence_ids(items, _cm_occurrences(items, cm_params).view(np.uint64))
 
 
 def expand_cm(
     stream: Iterable[ItemId], cm_params: SketchParams
 ) -> Iterator[OccurrenceItem]:
-    """Occurrence expansion with counts read from a count-min sketch: one
-    ``(row, bucket)`` key per row, bucketed by the scalar ``index_hash``.
-    Collisions can inflate the reported occurrence number, so distinct
-    multiset elements may map to a sparser set image than expand_exact
-    produces. That imprecision is the point of offering this adapter.
+    """Occurrence expansion with counts read from a count-min sketch, one
+    :class:`OccurrenceItem` per arrival, whose ``item_id()`` is the id
+    :func:`expand_cm_ids` gives it. Collisions can inflate the reported
+    occurrence number, so distinct multiset elements may map to a sparser
+    set image than the exact expansion produces. That imprecision is the
+    point of offering this adapter.
     """
-    family = HashFamily(cm_params.master_seed, cm_params.rows)
-    rows, width = range(cm_params.rows), cm_params.width
-    yield from _expanded(
-        stream, lambda item: [(row, family.index_hash(item, row, width)) for row in rows]
-    )
+    items = item_ids(stream)
+    occ = _cm_occurrences(items, cm_params)
+    yield from map(OccurrenceItem, items.tolist(), occ.tolist())
 
 
 # -- MinHash -----------------------------------------------------------

@@ -21,12 +21,17 @@ down to one of these; equality of ids is identity of items."""
 
 
 def integer_id(item) -> int:
-    """``item`` as a Python int; a float or a bool raises ``TypeError``."""
+    """``item`` as a Python int. A float or a bool raises ``TypeError``, and
+    an int outside [0, 2**64), which a uint64 cast would wrap, ``ValueError``."""
     if not isinstance(item, bool):
         try:
-            return operator.index(item)
+            value = operator.index(item)
         except TypeError:
             pass
+        else:
+            if 0 <= value < 1 << 64:
+                return value
+            raise ValueError(f"item ids must lie in [0, 2**64), got {value}")
     raise TypeError(f"item ids must be integers, got {type(item).__name__} {item!r}")
 
 
@@ -34,7 +39,8 @@ def item_ids(items) -> np.ndarray:
     """``items`` as one flat, contiguous uint64 batch: every entry point's one
     id rule. Non-integers raise ``TypeError``, since a cast would truncate
     them. An array of any shape is judged by its dtype, so an empty one
-    passes; a list or a scalar item by item, as numpy would cast it unchecked."""
+    passes, and an integer one is cast as is. A list or a scalar is judged
+    item by item by :func:`integer_id`, as numpy would cast it unchecked."""
     if not hasattr(items, "dtype"):
         items = [integer_id(x) for x in items] if np.iterable(items) else integer_id(items)
     elif np.size(items) and items.dtype.kind not in "iu":

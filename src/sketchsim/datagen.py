@@ -47,6 +47,8 @@ class ZipfSpec:
         # Written so that NaN fails too.
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def rank_ids(n_distinct: int) -> np.ndarray:

@@ -242,6 +242,8 @@ class ExperimentConfig:
             raise ValueError("stream_a and stream_b must be given together")
         if self.stream_a is None and not 0.0 < self.split_p < 1.0:
             raise ValueError("split_p must lie strictly between 0 and 1")
+        if self.stream_a is None and min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
 
     @property
     def from_files(self) -> bool:

@@ -6,9 +6,9 @@ row index and the hash kind, so index, sign, unit and bit hashes of the
 same row never share a seed. Quality is enforced statistically by the
 test suite rather than by depending on a named hash library.
 
-Scalar methods and their ``*_many`` numpy counterparts are defined to be
-bit-identical. The scalar ones are the tests' pure-Python reference for
-the vector path, and ``expand_cm``'s hash.
+Each hash has one implementation, its ``*_many`` form. The one-item
+methods (``index_hash``, ``sign_hash``, ``unit_hash``, ``unit_rank``,
+``bit_hash``) are views: element 0 of the ``*_many`` form on ``[item]``.
 
 Every vector hash comes from one chunked pass,
 :meth:`HashFamily.chunk_hashes`. It walks a batch in chunks of
@@ -165,50 +165,9 @@ class HashFamily:
         if not 0 <= row < self.rows:
             raise ValueError(f"row {row} out of range for {self.rows} rows")
 
-    # -- scalar ---------------------------------------------------------
-
-    def _mixed(self, item: int, kind: HashKind, row: int) -> int:
-        self._check_row(row)
-        return mix64(mix64(integer_id(item)) ^ int(self._seeds[row, kind]))
-
     def row_hashes(self, item: int, kind: HashKind) -> np.ndarray:
         """``item``'s hashes under every row's seed of ``kind``, one per row."""
         return mix64_array(np.uint64(mix64(integer_id(item))) ^ self._seeds[:, kind])
-
-    def index_hash(self, item: int, row: int, width: int) -> int:
-        """Bucket index in ``[0, width)`` for ``item`` under row ``row``."""
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        return self._mixed(item, HashKind.INDEX, row) % width
-
-    def sign_hash(self, item: int, row: int) -> int:
-        """Balanced sign in ``{+1, -1}``."""
-        return 1 if self._mixed(item, HashKind.SIGN, row) >> 63 else -1
-
-    def unit_hash(self, item: int, row: int) -> float:
-        """Uniform real strictly inside (0, 1).
-
-        Built as ``(r + 0.5) * 2**-52`` from 52 hash bits ``r``, so the
-        result is an exact dyadic float, never 0.0 or 1.0, and its log2
-        is finite.
-        """
-        r = self._mixed(item, HashKind.UNIT, row) >> 12
-        return (r + 0.5) * 2.0**-52
-
-    def unit_rank(self, item: int, row: int) -> int:
-        """``floor(-log2(unit_hash(item, row)))``, computed exactly.
-
-        Integer arithmetic sidesteps float log boundary rounding; the
-        result is in ``[0, 53]``.
-        """
-        r = self._mixed(item, HashKind.UNIT, row) >> 12
-        return 53 if r == 0 else 52 - r.bit_length()
-
-    def bit_hash(self, item: int, bits: int) -> int:
-        """Top ``bits`` bits of the item's hash, as an unsigned integer."""
-        if not 1 <= bits <= 64:
-            raise ValueError(f"bits must be in [1, 64], got {bits}")
-        return self._mixed(item, HashKind.BIT, 0) >> (64 - bits)
 
     # -- vectorized -----------------------------------------------------
 
@@ -224,7 +183,7 @@ class HashFamily:
         items and premixes each chunk once. Then, for each row of
         ``rows`` (default: every row), it yields ``(row, hashes)``, where
         ``hashes[j]`` holds the chunk's ``mix64(mix64(item) ^ seed)``
-        under the seed of ``kinds[j]`` and ``row``: the value the scalar
+        under the seed of ``kinds[j]`` and ``row``: the value the ``*_many``
         methods reduce. The kinds of :data:`OPEN_KINDS` (SIGN and UNIT)
         come open: the closing xorshift of ``mix64`` is skipped, so only
         bits 63..31, which it never changes, are that hash's.
@@ -278,24 +237,29 @@ class HashFamily:
         return mixed
 
     def index_hash_many(self, items: np.ndarray, row: int, width: int) -> np.ndarray:
-        """Vector form of :meth:`index_hash`; returns int64 bucket indices."""
+        """Bucket indices in ``[0, width)`` under row ``row``, as int64."""
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
         return bucket_of(self._mixed_many(items, HashKind.INDEX, row), width).view(np.int64)
 
     def sign_hash_many(self, items: np.ndarray, row: int) -> np.ndarray:
-        """Vector form of :meth:`sign_hash`; returns int64 values in {+1, -1}."""
+        """Balanced signs in {+1, -1}, the hash's top bit, as int64."""
         h = self._mixed_many(items, HashKind.SIGN, row)
         return np.where(h >> np.uint64(63), np.int64(1), np.int64(-1))
 
     def unit_hash_many(self, items: np.ndarray, row: int) -> np.ndarray:
-        """Vector form of :meth:`unit_hash`; returns float64 in (0, 1)."""
+        """Uniform reals strictly inside (0, 1), as float64.
+
+        Built as ``(r + 0.5) * 2**-52`` from the hash's top 52 bits ``r``,
+        so each is an exact dyadic float, never 0.0 or 1.0, and its log2
+        is finite.
+        """
         r = self._mixed_many(items, HashKind.UNIT, row) >> np.uint64(12)
         # 52-bit integers convert to float64 exactly.
         return (r.astype(np.float64) + 0.5) * 2.0**-52
 
     def unit_rank_many(self, items: np.ndarray, row: int) -> np.ndarray:
-        """Vector form of :meth:`unit_rank`; returns int64 in [0, 53]."""
+        """``floor(-log2(u))`` of each unit hash ``u``, exactly, as int64 in [0, 53]."""
         r = self._mixed_many(items, HashKind.UNIT, row) >> np.uint64(12)
         # frexp(r + 0.5) = (m, e) with m in [0.5, 1); floor(log2(r + 0.5))
         # is e - 1 except exactly at powers of two, where m == 0.5.
@@ -303,8 +267,25 @@ class HashFamily:
         return (np.int64(52) - e + (m == 0.5)).astype(np.int64)
 
     def bit_hash_many(self, items: np.ndarray, bits: int) -> np.ndarray:
-        """Vector form of :meth:`bit_hash`; returns uint64."""
+        """The top ``bits`` bits of each item's hash, as uint64."""
         if not 1 <= bits <= 64:
             raise ValueError(f"bits must be in [1, 64], got {bits}")
         h = self._mixed_many(items, HashKind.BIT, 0)
         return h >> np.uint64(64 - bits)
+
+    # -- one-item views -------------------------------------------------
+
+    def index_hash(self, item: int, row: int, width: int) -> int:
+        return int(self.index_hash_many([item], row, width)[0])
+
+    def sign_hash(self, item: int, row: int) -> int:
+        return int(self.sign_hash_many([item], row)[0])
+
+    def unit_hash(self, item: int, row: int) -> float:
+        return float(self.unit_hash_many([item], row)[0])
+
+    def unit_rank(self, item: int, row: int) -> int:
+        return int(self.unit_rank_many([item], row)[0])
+
+    def bit_hash(self, item: int, bits: int) -> int:
+        return int(self.bit_hash_many([item], bits)[0])

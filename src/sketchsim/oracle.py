@@ -2,9 +2,9 @@
 
 The brute-force ground truth the sketches are measured against. A
 multiset is one ``collections.Counter``, whose operators are the algebra
-(``&`` and ``|`` take pointwise minima and maxima) and whose ``total()``
-is the cardinality, derived, not cached. Nothing here is memory-bounded
-on purpose.
+(``intersect`` and ``union`` are its ``&`` and ``|``, pointwise minima and
+maxima) and whose ``total()`` is the cardinality, derived, not cached.
+Nothing here is memory-bounded on purpose.
 
 ``multiset_jaccard`` computes the same similarity straight from two
 arrays, from their sorted ``np.unique`` counts; the harness takes its
@@ -128,13 +128,6 @@ class ExactMultiset:
 
     # -- multiset algebra -----------------------------------------------
 
-    def sum(self, other: "ExactMultiset") -> "ExactMultiset":
-        """Pointwise multiplicity addition. Every stored multiplicity is
-        >= 1, so ``update`` keeps what ``+`` would, without its filter."""
-        total = self._counts.copy()
-        total.update(other._counts)
-        return self._of(total)
-
     def union(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise multiplicity maximum."""
         return self._of(self._counts | other._counts)
@@ -142,10 +135,6 @@ class ExactMultiset:
     def intersect(self, other: "ExactMultiset") -> "ExactMultiset":
         """Pointwise multiplicity minimum; zero entries are dropped."""
         return self._of(self._counts & other._counts)
-
-    def difference(self, other: "ExactMultiset") -> "ExactMultiset":
-        """Pointwise subtraction clamped at zero."""
-        return self._of(self._counts - other._counts)
 
     def jaccard(self, other: "ExactMultiset") -> float:
         """Exact multiset Jaccard similarity; the union's cardinality is

@@ -31,9 +31,10 @@ forms, that value is at most twice its halves' cap, below its own, so a
 block forms its parent exactly when the value passes its cap anywhere in
 the chunk. The row decides every growth so before it writes, then adds
 each extent's arrival count and sign sum and coalesces the formed
-blocks. That equals the scalar :meth:`SalsaRow.add` per arrival, which
-the tests keep as the reference, except that a chunk that saturates the
-row raises :class:`RowSaturatedError` with the row unchanged.
+blocks. That equals adding the arrivals one at a time, each first
+growing its counter until the new value fits, as the tests' replay does,
+except that a chunk that saturates the row raises
+:class:`RowSaturatedError` with the row unchanged.
 """
 
 from __future__ import annotations
@@ -117,11 +118,6 @@ class SalsaRow:
         row.c = self.c.copy()
         return row
 
-    def _saturation_error(self) -> RowSaturatedError:
-        return RowSaturatedError(
-            f"counter spans the whole {self.width}-byte row and cannot grow"
-        )
-
     def coalesce(self, starts, g: int) -> None:
         """Make each g-aligned block at ``starts``, one start or an array
         of them, one logical counter holding the sums of the block's bytes."""
@@ -139,30 +135,15 @@ class SalsaRow:
             field[starts] = sums
         self.level_of[pos] = g
 
-    def add(self, pos: int, d_cm: int, d_c: int) -> None:
-        """Apply one update at a hashed byte position; a counter whose
-        value would leave its level's range coalesces its parent block."""
-        g = int(self.level_of[pos])
-        start = pos & ~((1 << g) - 1)
-        while (
-            int(self.cm[start]) + d_cm > _CM_CAPS[min(g, 3)]
-            or abs(int(self.c[start]) + d_c) > _C_CAPS[min(g, 3)]
-        ):
-            if (1 << g) == self.width:
-                raise self._saturation_error()
-            g += 1
-            start &= ~((1 << g) - 1)
-            self.coalesce(start, g)
-        self.cm[start] += d_cm
-        self.c[start] += d_c
-
     def add_many(self, positions: np.ndarray, sign_bits: np.ndarray) -> None:
-        """Apply ``add(pos, 1, +1 if bit else -1)`` for each arrival in order.
+        """Add each arrival, in order, to the counter holding its position:
+        1 to cm, and its sign to c. A counter whose value would leave its
+        level's range first coalesces its parent block, as often as needed.
 
         ``positions`` and ``sign_bits`` are int64 arrays as long as a
         hash chunk at most; a sign bit is 1 for +1 and 0 for -1. Raises
-        :class:`RowSaturatedError` where ``add`` would, with the row
-        unchanged: the chunk is applied whole or not at all.
+        :class:`RowSaturatedError` if the whole-row counter would have to
+        grow, with the row unchanged: the chunk is applied whole or not at all.
         """
         m = len(positions)
         # One key ``start << shift | index << 1 | bit`` per arrival, where
@@ -222,7 +203,9 @@ class SalsaRow:
             over = self._overflows(arrivals, count, cm, c, g)
             if g == top:
                 if over.any():
-                    raise self._saturation_error()
+                    raise RowSaturatedError(
+                        f"counter spans the whole {self.width}-byte row and cannot grow"
+                    )
                 break
             # Sorted, a parent formed by both halves is listed twice in a row.
             parents = np.sort(starts[over] & -(2 << g))

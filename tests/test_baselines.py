@@ -3,6 +3,7 @@ import pytest
 from conftest import item_with_hash, multiset_of, random_stream_pair
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import reference as ref
 
 from sketchsim.core import (
     DegenerateEstimateError,
@@ -18,7 +19,6 @@ from sketchsim.baselines import (
     OccurrenceItem,
     expand_cm,
     expand_cm_ids,
-    expand_exact,
     expand_exact_ids,
     occurrence_numbers,
 )
@@ -28,7 +28,7 @@ from sketchsim.oracle import ExactMultiset
 
 def set_of_pairs(stream):
     ms = ExactMultiset()
-    for occ_item in expand_exact(stream):
+    for occ_item in ref.expand_exact(stream):
         ms.insert(occ_item.item_id())
     return ms
 
@@ -36,7 +36,7 @@ def set_of_pairs(stream):
 class TestOccurrenceExpansion:
     def test_word_stream_expansion(self):
         a, rose, is_ = 11, 22, 33
-        out = list(expand_exact([a, rose, is_, a, rose]))
+        out = list(ref.expand_exact([a, rose, is_, a, rose]))
         assert out == [
             OccurrenceItem(a, 1),
             OccurrenceItem(rose, 1),
@@ -46,30 +46,30 @@ class TestOccurrenceExpansion:
         ]
 
     def test_all_distinct_stream(self):
-        out = list(expand_exact([5, 6, 7]))
+        out = list(ref.expand_exact([5, 6, 7]))
         assert all(o.occurrence == 1 for o in out)
 
     def test_triple_repeat(self):
-        out = list(expand_exact([9, 9, 9]))
+        out = list(ref.expand_exact([9, 9, 9]))
         assert [o.occurrence for o in out] == [1, 2, 3]
 
     def test_no_duplicate_pairs(self):
         rng = np.random.default_rng(0)
         stream = rng.integers(0, 50, size=400, dtype=np.uint64).tolist()
-        pairs = [(o.base, o.occurrence) for o in expand_exact(stream)]
+        pairs = [(o.base, o.occurrence) for o in ref.expand_exact(stream)]
         assert len(pairs) == len(set(pairs))
 
     def test_occurrence_numbers_matches_streaming_expansion(self):
         rng = np.random.default_rng(1)
         stream = rng.integers(0, 30, size=500, dtype=np.uint64)
-        expected = [o.occurrence for o in expand_exact(stream.tolist())]
+        expected = [o.occurrence for o in ref.expand_exact(stream.tolist())]
         assert occurrence_numbers(stream).tolist() == expected
 
     def test_expand_exact_ids_matches_item_id(self):
         rng = np.random.default_rng(2)
         stream = rng.integers(0, 20, size=100, dtype=np.uint64)
         ids = expand_exact_ids(stream)
-        for i, occ_item in enumerate(expand_exact(stream.tolist())):
+        for i, occ_item in enumerate(ref.expand_exact(stream.tolist())):
             assert int(ids[i]) == occ_item.item_id()
 
     def test_jaccard_bridge_to_multiset(self):
@@ -93,7 +93,7 @@ class TestCmExpansion:
     def test_collision_free_cm_matches_exact(self):
         rng = np.random.default_rng(4)
         stream = rng.integers(0, 25, size=300, dtype=np.uint64).tolist()
-        assert list(expand_cm(stream, self.big_params())) == list(expand_exact(stream))
+        assert list(expand_cm(stream, self.big_params())) == list(ref.expand_exact(stream))
 
     def test_two_repeats_with_roomy_sketch(self):
         x = 42
@@ -125,14 +125,14 @@ class TestCmExpansion:
         # A pool of at most six distinct items gives heavy duplicates, and
         # narrow widths make distinct items share buckets in every row.
         params = SketchParams(rows=rows, width=width, master_seed=seed)
-        expected = [o.item_id() for o in expand_cm(stream, params)]
+        expected = [o.item_id() for o in ref.expand_cm(stream, params)]
         assert expand_cm_ids(np.array(stream, dtype=np.uint64), params).tolist() == expected
 
     def test_cm_query_never_under_reports(self):
         rng = np.random.default_rng(5)
         stream = rng.integers(0, 100, size=500, dtype=np.uint64).tolist()
         params = SketchParams(rows=2, width=32, master_seed=1)
-        for cm, exact in zip(expand_cm(stream, params), expand_exact(stream), strict=True):
+        for cm, exact in zip(expand_cm(stream, params), ref.expand_exact(stream), strict=True):
             assert cm.base == exact.base
             assert cm.occurrence >= exact.occurrence
 
@@ -150,7 +150,7 @@ class TestMinHash:
         assert a.estimate_jaccard(b).value == 1.0
 
     def test_insert_many_matches_insert(self):
-        # Both paths must equal the per-row minimum of the scalar unit
+        # Both paths must equal the per-row minimum of the reference unit
         # hashes.
         rng = np.random.default_rng(6)
         items = rng.integers(0, 1 << 40, size=200, dtype=np.uint64)
@@ -158,7 +158,7 @@ class TestMinHash:
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        expected = [min(a.hash.unit_hash(int(x), row) for x in items) for row in range(a.k)]
+        expected = [min(ref.unit_hash(a.hash, int(x), row) for x in items) for row in range(a.k)]
         assert a.mins.tolist() == expected
         assert b.mins.tolist() == expected
 
@@ -195,7 +195,7 @@ class TestHll:
         s = HllSketch(m_bits=4, master_seed=1)
         value_bits = 60
         for item in range(50):
-            h = s.hash.bit_hash(item, 64)
+            h = ref.bit_hash(s.hash, item, 64)
             bucket, rest = h >> value_bits, h & ((1 << value_bits) - 1)
             expected = value_bits - rest.bit_length() + 1
             fresh = HllSketch(m_bits=4, master_seed=1)
@@ -209,9 +209,10 @@ class TestHll:
                 assert expected == value_bits + 1
 
     def test_insert_many_matches_insert(self):
-        # Both paths must equal the scalar register rule: the register of
-        # the top m_bits keeps the largest leftmost-one position of the
-        # remaining value bits (value_bits + 1 for all zeros).
+        # Both paths must equal the per-item register rule on the
+        # reference hashes: the register of the top m_bits keeps the
+        # largest leftmost-one position of the remaining value bits
+        # (value_bits + 1 for all zeros).
         rng = np.random.default_rng(7)
         items = rng.integers(0, 1 << 50, size=3000, dtype=np.uint64)
         a = HllSketch(master_seed=4)
@@ -222,7 +223,7 @@ class TestHll:
         value_bits = 64 - a.m_bits
         expected = [0] * a.n_registers
         for x in items:
-            h = a.hash.bit_hash(int(x), 64)
+            h = ref.bit_hash(a.hash, int(x), 64)
             bucket, rest = h >> value_bits, h & ((1 << value_bits) - 1)
             expected[bucket] = max(expected[bucket], value_bits - rest.bit_length() + 1)
         assert a.registers.tolist() == expected
@@ -238,7 +239,7 @@ class TestHll:
         hashes = [(bucket << value_bits) | rest for bucket, rest in enumerate(rests)]
         s = HllSketch(m_bits=m_bits, master_seed=1)
         items = [item_with_hash(s.hash, HashKind.BIT, 0, h) for h in hashes]
-        assert [s.hash.bit_hash(x, 64) for x in items] == hashes
+        assert [ref.bit_hash(s.hash, x, 64) for x in items] == hashes
         s.insert_many(items)
         expected = [value_bits - rest.bit_length() + 1 for rest in rests]
         assert s.registers[: len(rests)].tolist() == expected
@@ -347,11 +348,12 @@ class TestMaxLogHash:
         a.insert_many(items)
         for x in items:
             b.insert(int(x))
-        # Both paths must equal the scalar update rule, one item at a time.
+        # Both paths must equal the update rule, one item at a time, on the
+        # reference ranks.
         maxlogs, flags = [-1] * a.k, [True] * a.k
         for x in items:
             for row in range(a.k):
-                rank = a.hash.unit_rank(int(x), row)
+                rank = ref.unit_rank(a.hash, int(x), row)
                 if rank > maxlogs[row]:
                     maxlogs[row], flags[row] = rank, True
                 elif rank == maxlogs[row]:
@@ -397,7 +399,7 @@ class TestDotHash:
         s = DotHashSketch(d=64, master_seed=2)
         s.insert(12345)
         for row in range(64):
-            expected = s.hash.sign_hash(12345, row) / np.sqrt(64)
+            expected = ref.sign_hash(s.hash, 12345, row) / np.sqrt(64)
             assert s.vec[row] == pytest.approx(expected)
 
     @pytest.mark.parametrize("d,n", [(64, 40), (5, 300)])
@@ -405,13 +407,13 @@ class TestDotHash:
         # Reference: each coordinate adds the items' scaled signs one at
         # a time, in arrival order.
         items = np.random.default_rng(d).integers(0, 1 << 63, size=n, dtype=np.uint64)
-        ref = DotHashSketch(d=d, master_seed=d)
+        dot = DotHashSketch(d=d, master_seed=d)
         scale = 1.0 / np.sqrt(d)
         expected = []
         for row in range(d):
             value = 0.0
             for item in items.tolist():
-                value += ref.hash.sign_hash(item, row) * scale
+                value += ref.sign_hash(dot.hash, item, row) * scale
             expected.append(value)
         for cuts in ([], [1, n // 2, n - 3]):
             s = DotHashSketch(d=d, master_seed=d)
@@ -451,7 +453,7 @@ class TestDotHash:
 
     def test_degenerate_union_rejected(self):
         s = DotHashSketch(d=1, master_seed=0)
-        same_sign = [i for i in range(100) if s.hash.sign_hash(i, 0) == 1][:3]
+        same_sign = [i for i in range(100) if ref.sign_hash(s.hash, i, 0) == 1][:3]
         a, b = DotHashSketch(d=1, master_seed=0), DotHashSketch(d=1, master_seed=0)
         a.insert_many(np.array(same_sign, dtype=np.uint64))
         b.insert_many(np.array(same_sign, dtype=np.uint64))

@@ -204,6 +204,19 @@ class TestErrors:
         err = self.run_failing(["sweep", "--config", str(cfg)], capsys)
         assert f"{cfg}: line 3: " in err
 
+    def test_estimate_refuses_a_negative_seed(self, capsys):
+        err = self.run_failing(["estimate", "--algo", "cm", "--seed", "-1"], capsys)
+        assert "seed" in err
+
+    def test_sweep_with_a_negative_seed_writes_no_row(self, tmp_path, capsys):
+        # Refused before the sweep starts, not after seed 3's row is out.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("algos = cm\nmemory_bytes = 1024\nrows = 1\nseeds = 3, -1\nn_items = 500\n")
+        out = tmp_path / "out.csv"
+        err = self.run_failing(["sweep", "--config", str(cfg), "--csv", str(out)], capsys)
+        assert "seed" in err
+        assert not out.exists() or out.read_text().splitlines()[1:] == []
+
     def test_malformed_ipcsv_file(self, tmp_path, capsys):
         good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
         good.write_text("10.0.0.1,10.0.0.2\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import multiset_of
+import reference as ref
 
 from sketchsim.cli import main
 from sketchsim.core import Algo
@@ -17,6 +18,10 @@ class TestZipfSpec:
             ZipfSpec(n_items=10, n_distinct=0, alpha=1.0, seed=0)
         with pytest.raises(ValueError):
             ZipfSpec(n_items=10, n_distinct=10, alpha=-0.5, seed=0)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            ZipfSpec(n_items=10, n_distinct=10, alpha=1.0, seed=-1)
 
     def test_zero_alpha_allowed(self):
         ZipfSpec(n_items=10, n_distinct=10, alpha=0.0, seed=0)
@@ -100,7 +105,7 @@ class TestRandomSplit:
         spec = ZipfSpec(n_items=20_000, n_distinct=500, alpha=0.7, seed=8)
         stream = zipf_stream(spec)
         left, right = random_split(stream, 0.4, seed=9)
-        assert multiset_of(left).sum(multiset_of(right)) == multiset_of(stream)
+        assert ref.multiset_sum(multiset_of(left), multiset_of(right)) == multiset_of(stream)
 
     def test_near_one_probability_keeps_everything(self):
         stream = np.arange(1000, dtype=np.uint64)

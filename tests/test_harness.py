@@ -162,6 +162,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="split_p"):
             small_config(split_p=1.0)
 
+    def test_rejects_a_negative_seed_for_a_synthetic_pair(self):
+        # The seed draws the Zipf stream, which needs a nonnegative one. A
+        # file pair only seeds the hashes, which take any seed mod 2**64.
+        with pytest.raises(ValueError, match="seeds must be nonnegative, got -1"):
+            small_config(seeds=(3, -1))
+        assert small_config(seeds=(-1,), stream_a="a.bin", stream_b="b.bin").seeds == (-1,)
+
 
 class TestRunExperiment:
     def test_cell_count_is_cross_product(self):

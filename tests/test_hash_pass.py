@@ -7,13 +7,15 @@ here each of them must equal a reference built from the per-row
 The pass yields SIGN and UNIT hashes open, and MaxLogHash reads them
 open, so crafted unit hashes pin its reading on both sides of 2**31 and
 where the closing step swaps two hashes.
-The ``*_many`` methods themselves are checked against the scalar hashes
-at the same lengths.
+The ``*_many`` methods themselves are checked against the per-item
+references of ``reference.py`` at the same lengths, and each one-item
+view against its ``*_many`` form.
 """
 
 import numpy as np
 import pytest
 from conftest import item_with_hash, unmix64
+import reference as ref
 
 from sketchsim.baselines import MaxLogHashSketch, MinHashSketch
 from sketchsim.core import SketchParams
@@ -52,19 +54,25 @@ class TestVectorHashesAcrossChunks:
         # The first and last item of every chunk.
         sample = {0, n - 1, *range(HASH_CHUNK - 1, n, HASH_CHUNK)}
         sample |= set(range(HASH_CHUNK, n, HASH_CHUNK))
-        idx = fam.index_hash_many(items, 2, 1000)
-        sign = fam.sign_hash_many(items, 1)
-        unit = fam.unit_hash_many(items, 0)
-        rank = fam.unit_rank_many(items, 2)
-        bits = fam.bit_hash_many(items, 40)
-        # The scalar methods take a numpy id as they take its Python int.
-        for i in sample:
-            for x in (int(items[i]), items[i]):
-                assert idx[i] == fam.index_hash(x, 2, 1000)
-                assert sign[i] == fam.sign_hash(x, 1)
-                assert unit[i] == fam.unit_hash(x, 0)
-                assert rank[i] == fam.unit_rank(x, 2)
-                assert bits[i] == fam.bit_hash(x, 40)
+        # Each hash's arguments after the item, and the type its view returns.
+        hashes = {
+            "index_hash": ((2, 1000), int),
+            "sign_hash": ((1,), int),
+            "unit_hash": ((0,), float),
+            "unit_rank": ((2,), int),
+            "bit_hash": ((40,), int),
+        }
+        for name, (args, number) in hashes.items():
+            many, view = getattr(fam, f"{name}_many"), getattr(fam, name)
+            vec = many(items, *args)
+            for i in sample:
+                assert vec[i] == getattr(ref, name)(fam, int(items[i]), *args)
+                # A view takes a numpy id as it takes its Python int, and
+                # returns element 0 of the *_many form on [item] as a Python number.
+                for x in (int(items[i]), items[i]):
+                    got = view(x, *args)
+                    assert type(got) is number
+                    assert got == many([x], *args)[0] == vec[i]
 
     def test_chunk_hashes_yields_every_row_of_every_chunk(self):
         fam = HashFamily(master_seed=4, rows=2)
@@ -80,7 +88,7 @@ class TestVectorHashesAcrossChunks:
         items = items_of(HASH_CHUNK + 3, seed=2)
         full = fam._mixed_many(items, kind, 1)
         for i in (0, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 2):
-            assert full[i] == fam._mixed(int(items[i]), kind, 1)
+            assert full[i] == ref.mixed(fam, int(items[i]), kind, 1)
         steps = fam.chunk_hashes(items, (kind,), rows=(1,))
         got = np.concatenate([h.copy() for _, (h,) in steps])
         assert (got >> np.uint64(31) == full >> np.uint64(31)).all()

@@ -174,3 +174,17 @@ def test_every_exception_is_a_sketch_error():
         and not issubclass(obj, SketchError)
     ]
     assert not untyped, "exceptions outside SketchError: " + ", ".join(untyped)
+
+
+def test_the_package_calls_no_one_item_hash_view():
+    # Each hash has one implementation, its *_many form; the one-item
+    # views exist for callers outside the package.
+    views = {"index_hash", "sign_hash", "unit_hash", "unit_rank", "bit_hash"}
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node.func)}"
+        for path in ROOT.glob("src/sketchsim/*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in views
+    ]
+    assert not calls, "calls of a one-item hash view in the package: " + ", ".join(calls)

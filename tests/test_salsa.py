@@ -5,6 +5,7 @@ import pytest
 from conftest import multiset_of, random_stream_pair
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import reference as ref
 
 from sketchsim.core import (
     BudgetTooSmallError,
@@ -35,22 +36,22 @@ def check_buddy_tiling(row: SalsaRow):
 
 def replay(s, items):
     """Reference insert: copies of the sketch's rows, fed one arrival at a
-    time through the scalar ``SalsaRow.add``."""
+    time through ``reference.salsa_add``."""
     items = np.asarray(items, dtype=np.uint64)
     rows = [row.copy() for row in s.rows]
     for i, row in enumerate(rows):
         positions = s.hash.index_hash_many(items, i, s.params.width).tolist()
         signs = s.hash.sign_hash_many(items, i).tolist()
         for pos, sign in zip(positions, signs):
-            row.add(pos, 1, sign)
+            ref.salsa_add(row, pos, 1, sign)
     return rows
 
 
 def assert_rows_equal(rows, expected):
-    for row, ref in zip(rows, expected, strict=True):
-        assert row.level_of.tolist() == ref.level_of.tolist()
-        assert row.cm.tolist() == ref.cm.tolist()
-        assert row.c.tolist() == ref.c.tolist()
+    for row, want in zip(rows, expected, strict=True):
+        assert row.level_of.tolist() == want.level_of.tolist()
+        assert row.cm.tolist() == want.cm.tolist()
+        assert row.c.tolist() == want.c.tolist()
 
 
 def counters(row):
@@ -93,10 +94,10 @@ class TestRowMerging:
     def test_cm_overflow_merges_with_buddy(self):
         row = SalsaRow(4)
         for i in range(255):
-            row.add(0, 1, 1 if i % 2 == 0 else -1)
-        row.add(1, 1, 1)  # buddy position, its own 1-byte counter
+            ref.salsa_add(row, 0, 1, 1 if i % 2 == 0 else -1)
+        ref.salsa_add(row, 1, 1, 1)  # buddy position, its own 1-byte counter
         assert extent(row.level_of, 0) == (0, 1)
-        row.add(0, 1, 1)  # cm would hit 256: merge [0] with [1]
+        ref.salsa_add(row, 0, 1, 1)  # cm would hit 256: merge [0] with [1]
         assert extent(row.level_of, 0) == (0, 2)
         assert extent(row.level_of, 1) == (0, 2)
         assert int(row.cm[0]) == 255 + 1 + 1
@@ -105,9 +106,9 @@ class TestRowMerging:
     def test_c_underflow_merges(self):
         row = SalsaRow(4)
         for _ in range(127):
-            row.add(2, 1, -1)
+            ref.salsa_add(row, 2, 1, -1)
         assert extent(row.level_of, 2) == (2, 1)
-        row.add(2, 1, -1)  # c would hit -128, outside the symmetric range
+        ref.salsa_add(row, 2, 1, -1)  # c would hit -128, outside the symmetric range
         assert extent(row.level_of, 2) == (2, 2)
         assert int(row.c[2]) == -128
         assert int(row.cm[2]) == 128
@@ -116,11 +117,11 @@ class TestRowMerging:
     def test_recursive_coalesce_of_fragmented_buddy(self):
         row = SalsaRow(8)
         row.coalesce(0, 1)  # [0,1] is one 2-byte counter
-        row.add(0, 1, 1)
-        row.add(2, 1, 1)  # [2] and [3] stay separate 1-byte counters
-        row.add(3, 1, -1)
+        ref.salsa_add(row, 0, 1, 1)
+        ref.salsa_add(row, 2, 1, 1)  # [2] and [3] stay separate 1-byte counters
+        ref.salsa_add(row, 3, 1, -1)
         row.cm[0] = 65535  # white-box: saturate the 2-byte counter
-        row.add(1, 1, 1)  # grow: buddy [2,3] must first coalesce
+        ref.salsa_add(row, 1, 1, 1)  # grow: buddy [2,3] must first coalesce
         assert extent(row.level_of, 0) == (0, 4)
         assert int(row.cm[0]) == 65535 + 1 + 1 + 1
         assert int(row.c[0]) == 1 + 1 - 1 + 1
@@ -150,9 +151,9 @@ class TestRowMerging:
     def test_saturated_row_errors(self):
         row = SalsaRow(1)
         for i in range(255):
-            row.add(0, 1, 1 if i % 2 == 0 else -1)
+            ref.salsa_add(row, 0, 1, 1 if i % 2 == 0 else -1)
         with pytest.raises(RowSaturatedError):
-            row.add(0, 1, 1)
+            ref.salsa_add(row, 0, 1, 1)
 
     def test_conservation_under_random_stress(self):
         rng = np.random.default_rng(0)
@@ -161,7 +162,7 @@ class TestRowMerging:
         for _ in range(5000):
             pos = int(rng.integers(0, 16))
             sign = int(rng.choice([-1, 1]))
-            row.add(pos, 1, sign)
+            ref.salsa_add(row, pos, 1, sign)
             total_cm += 1
             total_c += sign
         assert row.total_cm() == total_cm
@@ -188,7 +189,8 @@ class TestRowMerging:
             rng = np.random.default_rng(seed)
             try:
                 if op == "add":
-                    row.add(int(rng.integers(width)), int(rng.integers(1, 300)), int(rng.integers(-200, 200)))
+                    pos, d_cm, d_c = rng.integers(width), rng.integers(1, 300), rng.integers(-200, 200)
+                    ref.salsa_add(row, int(pos), int(d_cm), int(d_c))
                 elif op == "add_many":
                     n = int(rng.integers(1, 3000))
                     pos = ((rng.zipf(1.3, size=n) - 1) % width).astype(np.int64)
@@ -208,7 +210,7 @@ class TestRowMerging:
     def test_levels_grow_under_skew(self):
         row = SalsaRow(8)
         for i in range(3000):
-            row.add(0, 1, 1 if i % 2 == 0 else -1)
+            ref.salsa_add(row, 0, 1, 1 if i % 2 == 0 else -1)
         start, blen = extent(row.level_of, 0)
         assert blen >= 2
         assert int(row.cm[start]) == 3000
@@ -220,7 +222,7 @@ def filled_row(width, blocks, seed):
     rng = np.random.default_rng(seed)
     row = SalsaRow(width)
     for pos in range(width):
-        row.add(pos, int(rng.integers(0, 100)), int(rng.integers(-60, 60)))
+        ref.salsa_add(row, pos, int(rng.integers(0, 100)), int(rng.integers(-60, 60)))
     for start, g in blocks:
         row.coalesce(start, g)
     return row
@@ -277,16 +279,16 @@ class TestAlign:
 
     def test_unmerged_rows_align_is_noop(self):
         a, b = SalsaRow(8), SalsaRow(8)
-        a.add(0, 1, 1)
-        b.add(5, 1, -1)
+        ref.salsa_add(a, 0, 1, 1)
+        ref.salsa_add(b, 5, 1, -1)
         assert coarsened_counters(a, b) == reference_align(a, b) == (counters(a), counters(b))
 
     def test_finer_side_merges_to_match(self):
         a, b = SalsaRow(8), SalsaRow(8)
         a.coalesce(0, 1)
-        a.add(0, 1, 1)
-        b.add(0, 1, 1)
-        b.add(1, 1, 1)
+        ref.salsa_add(a, 0, 1, 1)
+        ref.salsa_add(b, 0, 1, 1)
+        ref.salsa_add(b, 1, 1, 1)
         coarse_a, coarse_b = coarsened_counters(a, b)
         assert (coarse_a, coarse_b) == reference_align(a, b)
         assert coarse_a[0][:2] == coarse_b[0][:2] == (0, 2)
@@ -296,9 +298,9 @@ class TestAlign:
         rng = np.random.default_rng(2)
         a, b = SalsaRow(16), SalsaRow(16)
         for _ in range(3000):
-            a.add(int(rng.integers(0, 4)), 1, int(rng.choice([-1, 1])))
+            ref.salsa_add(a, int(rng.integers(0, 4)), 1, int(rng.choice([-1, 1])))
         for _ in range(3000):
-            b.add(int(rng.integers(8, 16)), 1, int(rng.choice([-1, 1])))
+            ref.salsa_add(b, int(rng.integers(8, 16)), 1, int(rng.choice([-1, 1])))
         coarse = coarsened_counters(a, b)
         assert coarse == reference_align(a, b)
         for row, counts in zip((a, b), coarse):
@@ -311,11 +313,11 @@ class TestSketch:
         s = sketch(rows=2, width=8, seed=1)
         s.insert(1234)
         for i in range(2):
-            pos = s.hash.index_hash(1234, i, 8)
+            pos = ref.index_hash(s.hash, 1234, i, 8)
             start, blen = extent(s.rows[i].level_of, pos)
             assert blen == 1
             assert int(s.rows[i].cm[start]) == 1
-            assert int(s.rows[i].c[start]) == s.hash.sign_hash(1234, i)
+            assert int(s.rows[i].c[start]) == ref.sign_hash(s.hash, 1234, i)
 
     def test_insert_many_matches_repeated_insert(self):
         rng = np.random.default_rng(3)
@@ -398,7 +400,7 @@ class TestSketch:
             b.insert_many((rng.zipf(1.3, size=3_000) % 200).astype(np.uint64))
             acc = 0.0
             for row_a, row_b in zip(a.rows, b.rows):
-                ref_a, ref_b = (np.array(ref).T for ref in reference_align(row_a, row_b))
+                ref_a, ref_b = (np.array(side).T for side in reference_align(row_a, row_b))
                 acc += weighted_row_similarity(ref_a[2], ref_b[2], ref_a[3], ref_b[3])
             assert a.estimate_jaccard(b).raw == acc / 3
             assert any(ra.level_of.tolist() != rb.level_of.tolist() for ra, rb in zip(a.rows, b.rows))
@@ -487,15 +489,15 @@ class TestInsertMatchesScalarReplay:
 
 
 def replay_row(row, positions, bits):
-    """Copy of ``row`` fed each arrival through the scalar ``add``; the
+    """Copy of ``row`` fed each arrival through ``reference.salsa_add``; the
     saturation error, if any, is returned beside it."""
-    ref = row.copy()
+    replayed = row.copy()
     try:
         for pos, bit in zip(positions.tolist(), bits.tolist()):
-            ref.add(pos, 1, 2 * bit - 1)
+            ref.salsa_add(replayed, pos, 1, 2 * bit - 1)
     except RowSaturatedError as err:
-        return ref, str(err)
-    return ref, None
+        return replayed, str(err)
+    return replayed, None
 
 
 def add_many_caught(row, positions, bits):
@@ -529,7 +531,7 @@ def arrivals(*runs):
 
 
 class TestRiskSplit:
-    """``SalsaRow.add_many`` against one scalar ``add`` per arrival."""
+    """``SalsaRow.add_many`` against one ``reference.salsa_add`` per arrival."""
 
     def test_growths_in_disjoint_blocks_share_a_step(self):
         row = SalsaRow(16)
@@ -548,7 +550,7 @@ class TestRiskSplit:
         row = SalsaRow(16)
         for pos in (4, 6):
             for _ in range(100):
-                row.add(pos, 1, 1)
+                ref.salsa_add(row, pos, 1, 1)
         pos, bits = arrivals((5, 1, HASH_CHUNK - 88), (4, 1, 20), (6, 1, 30), (11, 0, 38))
         expected, _ = replay_row(row, pos, bits)
         row.add_many(pos, bits)

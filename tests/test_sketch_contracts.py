@@ -7,10 +7,12 @@ sketch's state, whether a counter grid or a set baseline, depends
 on how a stream is cut into batches, sketches of different types refuse
 to compare, two empty sketches have no similarity, and one empty side
 estimates 0. Every sketch refuses item ids that are not integers, whether
-they come as an array, a list or a scalar, and so do the array entry
-points outside the sketches (the adapters, the oracle, the split and the
-hash family) and the per-item reference paths, the scalar hashes among
-them. An integer array of any shape is taken as its flat batch.
+they come as an array, a list or a scalar, and Python ints outside
+[0, 2**64) as a list element or a scalar. So do the array entry points
+outside the sketches (the adapters, the oracle, the split and the hash
+family) and the per-item paths: the oracle's, ``OccurrenceItem``,
+``expand_cm``, a one-item hash view, and the tests' exact expansion. An
+integer array of any shape is taken as its flat batch.
 """
 
 import itertools
@@ -21,6 +23,7 @@ import pytest
 from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference as ref
 
 from sketchsim.baselines import (
     DotHashSketch,
@@ -30,7 +33,6 @@ from sketchsim.baselines import (
     OccurrenceItem,
     expand_cm,
     expand_cm_ids,
-    expand_exact,
     expand_exact_ids,
     occurrence_numbers,
 )
@@ -209,7 +211,8 @@ def item_with_sign(s, sign, avoid_slot=None):
     """The first item whose row-0 sign hash is ``sign``, outside ``avoid_slot``."""
     width = s.params.width
     for x in itertools.count(1):
-        if s.hash.sign_hash(x, 0) == sign and s.hash.index_hash(x, 0, width) != avoid_slot:
+        slot = ref.index_hash(s.hash, x, 0, width)
+        if ref.sign_hash(s.hash, x, 0) == sign and slot != avoid_slot:
             return x
 
 
@@ -280,7 +283,7 @@ class TestGridRange:
     def test_exactly_the_cap_is_applied_and_one_more_is_not(self, cls, field, sign, width):
         s = cls(params(1, width, seed=3))
         x = item_with_sign(s, sign)
-        j = s.hash.index_hash(x, 0, width)
+        j = ref.index_hash(s.hash, x, 0, width)
         cap = cap_of(cls, field, sign)
         getattr(s, field)[0, j] = cap - 2 * sign
         s.insert_many([x, x])
@@ -298,9 +301,9 @@ class TestGridRange:
         # the cap, but they sit in different slots, so no total does.
         s = cls(params(1, 8, seed=4))
         x = item_with_sign(s, sign)
-        j = s.hash.index_hash(x, 0, 8)
+        j = ref.index_hash(s.hash, x, 0, 8)
         y = item_with_sign(s, sign, avoid_slot=j)
-        k = s.hash.index_hash(y, 0, 8)
+        k = ref.index_hash(s.hash, y, 0, 8)
         cap = cap_of(cls, field, sign)
         getattr(s, field)[0, j] = cap - 5 * sign
         s.insert_many(np.full(10, y, dtype=np.uint64))
@@ -344,8 +347,8 @@ def items_of(x):
     return x if np.iterable(x) else [x]
 
 
-# The per-item reference paths, each fed two batches. They keep ids as
-# Python ints, so an int64 view is not the same input to them.
+# The per-item paths, each fed two batches. Most keep ids as Python
+# ints, so an int64 view is not the same input to them.
 PER_ITEM = {
     "from_items": lambda a, b: ExactMultiset.from_items(items_of(a)).jaccard(
         ExactMultiset.from_items(items_of(b))
@@ -363,7 +366,9 @@ PER_ITEM = {
     "index_hash": lambda a, b: [
         HashFamily(1, 1).index_hash(x, 0, 1 << 20) for x in [*items_of(a), *items_of(b)]
     ],
-    "expand_exact": lambda a, b: [[o.item_id() for o in expand_exact(items_of(x))] for x in (a, b)],
+    "expand_exact": lambda a, b: [
+        [o.item_id() for o in ref.expand_exact(items_of(x))] for x in (a, b)
+    ],
     "expand_cm": lambda a, b: [
         [o.item_id() for o in expand_cm(items_of(x), params(2, 8, 1))] for x in (a, b)
     ],
@@ -406,6 +411,25 @@ class TestItemIds:
         s.insert_many([1, 2])
         twin.insert_many([1, 2])
         with pytest.raises(TypeError, match="integers"):
+            if form == "scalar":
+                s.insert(bad)
+            else:
+                s.insert_many([3, bad, 4])
+        assert pickle.dumps(s) == pickle.dumps(twin)
+
+    @pytest.mark.parametrize("name", [*ALL_SKETCHES, *POINTS])
+    @pytest.mark.parametrize("bad", [-1, 1 << 64])
+    @pytest.mark.parametrize("form", ["scalar", "list element"])
+    def test_integers_outside_64_bits_are_refused(self, name, bad, form):
+        # A cast to uint64 would wrap them: -1 would count as 2**64 - 1.
+        if name in POINTS:
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+                POINTS[name]([1, 2], bad if form == "scalar" else [3, bad, 4])
+            return
+        s, twin = ALL_SKETCHES[name](), ALL_SKETCHES[name]()
+        s.insert_many([1, 2])
+        twin.insert_many([1, 2])
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             if form == "scalar":
                 s.insert(bad)
             else:
