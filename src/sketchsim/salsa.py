@@ -25,12 +25,17 @@ the row storage and its growth are its own.
 
 A batch insert hashes through the grids' chunked pass,
 :meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
-positions and sign bits. A counter always holds its block's value from
-before the chunk plus every arrival into the block since. Before a block
-forms, that value is at most twice its halves' cap, below its own, so a
-block forms its parent exactly when the value passes its cap anywhere in
-the chunk. The row decides every growth so before it writes, then adds
-each extent's arrival count and sign sum and coalesces the formed
+positions and sign bits. The row counts each touched extent's arrivals
+and +1 signs, by one ``bincount`` in a row of up to twice the chunk's
+length and by a sort in a wider one. A counter always holds its block's
+value from before the chunk plus every arrival into the block since.
+Before a block forms, that value is at most twice its halves' cap, below
+its own, so a block forms its parent exactly when the value passes its
+cap anywhere in the chunk. The final value settles that for most blocks:
+one that ends past its cap grows, and one whose worst case fits does
+not. Only the other blocks' arrivals are walked in arrival order, for
+c's running extremes. The row decides every growth so before it writes,
+then adds each extent's count and sign sum and coalesces the formed
 blocks. That equals adding the arrivals one at a time, each first
 growing its counter until the new value fits, as the tests' replay does,
 except that a chunk that saturates the row raises
@@ -120,8 +125,22 @@ class SalsaRow:
 
     def coalesce(self, starts, g: int) -> None:
         """Make each g-aligned block at ``starts``, one start or an array
-        of them, one logical counter holding the sums of the block's bytes."""
+        of them, one logical counter holding the sums of the block's bytes.
+
+        Raises ``ValueError``, with the row unchanged, if ``g`` is not a
+        level of this row, a start is not a multiple of ``2**g``, a block
+        lies outside the row, or a block lies inside a wider counter.
+        """
         starts = np.atleast_1d(starts)
+        if not starts.size:
+            return
+        if 0 <= g < self.width.bit_length():
+            bad = (starts & ((1 << g) - 1) != 0) | (starts < 0) | (starts > self.width - (1 << g))
+        else:
+            bad = np.ones(starts.shape, dtype=bool)
+        if bad.any():
+            start = starts[bad][0]
+            raise ValueError(f"no level-{g} block starts at {start} in this {self.width}-byte row")
         inside = self.level_of[starts] > g
         if inside.any():
             start = starts[inside][0]
@@ -144,74 +163,119 @@ class SalsaRow:
         hash chunk at most; a sign bit is 1 for +1 and 0 for -1. Raises
         :class:`RowSaturatedError` if the whole-row counter would have to
         grow, with the row unchanged: the chunk is applied whole or not at all.
+
+        Each touched extent's arrivals are counted, :meth:`_growths`
+        decides the growths from those counts, and each extent then takes
+        its count and sign sum in one step.
         """
-        m = len(positions)
-        # One key ``start << shift | index << 1 | bit`` per arrival, where
-        # ``start`` is its current extent's start: sorted, the keys group
-        # the arrivals by extent, each group in arrival order.
-        shift = m.bit_length() + 1
-        key = np.left_shift(np.int64(-1), self.level_of[positions])
-        key &= positions
-        key <<= shift
-        key |= np.arange(m) << 1 | sign_bits
-        key.sort()
-        head = np.flatnonzero(np.diff(key >> shift, prepend=-1))
-        ext = key[head] >> shift
-        n, up = np.diff(head, append=m), np.add.reduceat(key & 1, head)
+        ext, n, up = self._extent_counts(positions, sign_bits)
         level, c = self.level_of[ext], self.c[ext]
         risky = _over(level, self.cm[ext] + n, c + up, c - (n - up))
-        growths = self._growths(key, shift, ext[risky], level[risky])
+        growths = self._growths(positions, sign_bits, (ext, n, up), ext[risky], level[risky])
         self.cm[ext] += n
         self.c[ext] += 2 * up - n
         for g, starts in growths:
             self.coalesce(starts, g)
 
+    def _extent_counts(
+        self, positions: np.ndarray, sign_bits: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ext, n, up)``: the starts, ascending, of the extents the
+        arrivals fall in, and each extent's arrival count and +1 count."""
+        width = self.width
+        ext = np.left_shift(np.int64(-1), self.level_of[positions])
+        ext &= positions
+        # A dense count costs O(width) per chunk, a sort O(m log m) for m
+        # arrivals. On one-row Zipf inserts in full hash chunks (numpy
+        # 2.4.6), the count is 1.2-1.7 times as fast up to width 2m, level
+        # at 4m, and 2.5 times slower at 16m, a 2 MB row.
+        if width <= 2 * len(positions):
+            # Extent e counts at e + s*width, where s is the sign bit.
+            ext += sign_bits * width
+            counts = np.bincount(ext, minlength=2 * width)
+            up = counts[width:]
+            n = counts[:width] + up
+            touched = np.flatnonzero(n)
+            return touched, n[touched], up[touched]
+        ext <<= 1
+        ext |= sign_bits
+        ext.sort()
+        head = np.flatnonzero(np.diff(ext >> 1, prepend=-1))
+        return ext[head] >> 1, np.diff(head, append=len(ext)), np.add.reduceat(ext & 1, head)
+
     def _growths(
-        self, key: np.ndarray, shift: int, ext: np.ndarray, level: np.ndarray
+        self,
+        positions: np.ndarray,
+        sign_bits: np.ndarray,
+        counts: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        risky: np.ndarray,
+        level: np.ndarray,
     ) -> List[Tuple[int, np.ndarray]]:
         """The blocks a chunk forms, as ``(g, starts)`` by rising level
         ``g``; raises :class:`RowSaturatedError` if the whole-row counter
         would pass its cap.
 
-        ``key`` holds the chunk's sorted arrival keys, and ``ext`` the
-        starts of the extents, at levels ``level``, that can grow. A
-        block forms its parent if its running value passes its cap
-        anywhere in the chunk, formed or not at that arrival: before it
-        forms, its value stays below its cap.
+        ``counts`` is :meth:`_extent_counts` of the chunk's arrivals, and
+        ``risky`` the starts of the extents, at levels ``level``, whose
+        worst case passes their cap. A block forms its parent if its
+        running value passes its cap anywhere in the chunk, formed or
+        not at that arrival: before it forms, its value stays below its
+        cap. The final value decides that for most blocks; only the
+        others' arrivals are walked in order.
         """
+        ext, n, up = counts
         top = self.width.bit_length() - 1
         formed: List[Tuple[int, np.ndarray]] = []
         starts = np.empty(0, dtype=np.int64)
         for g in range(int(level.min(initial=top + 1)), top + 1):
-            starts = np.concatenate((starts, ext[level == g]))
-            if not starts.size and g >= level.max():
-                break
-            # The sorted keys of each block's arrivals are one run. A block
-            # whose worst case fits its level cannot form its parent.
-            lo = np.searchsorted(key, starts << shift)
-            count = np.searchsorted(key, (starts + (1 << g)) << shift) - lo
+            starts = np.sort(np.concatenate((starts, risky[level == g])))
+            if not starts.size:
+                if g >= level.max():
+                    break
+                continue
+            # A block's extents are one run ext[lo:hi] of the ascending
+            # ``ext``; the blocks' runs are disjoint and ascending, so
+            # reduceat over the interleaved bounds sums them, reading the
+            # last run to the end where its bound is the end.
+            bounds = np.searchsorted(ext, np.stack((starts, starts + (1 << g)), 1).ravel())
+            bounds = bounds[: -1 if bounds[-1] == len(ext) else None]
+            count, plus = np.add.reduceat(n, bounds)[::2], np.add.reduceat(up, bounds)[::2]
             pos = starts[:, None] + np.arange(1 << g)
             cm, c = self.cm[pos].sum(axis=1), self.c[pos].sum(axis=1)
-            reach = np.abs(c) + count
-            can = _over(g, cm + count, reach, -reach)
-            starts, lo, count, cm, c = (x[can] for x in (starts, lo, count, cm, c))
-            block = np.repeat(np.arange(starts.size), count)
-            arrivals = key[np.arange(block.size) + np.repeat(lo - np.cumsum(count) + count, count)]
-            arrivals &= (1 << shift) - 1
-            arrivals |= block << shift
-            arrivals.sort()
-            over = self._overflows(arrivals, count, cm, c, g)
+            cm_end, c_end = cm + count, c + 2 * plus - count
+            over = _over(g, cm_end, c_end, c_end)
+            walk = _over(g, cm_end, c + plus, c - (count - plus)) & ~over
+            if walk.any():
+                arrivals = self._in_order(positions, sign_bits, starts[walk], g)
+                over[walk] = self._overflows(arrivals, count[walk], cm[walk], c[walk], g)
             if g == top:
                 if over.any():
                     raise RowSaturatedError(
                         f"counter spans the whole {self.width}-byte row and cannot grow"
                     )
                 break
-            # Sorted, a parent formed by both halves is listed twice in a row.
-            parents = np.sort(starts[over] & -(2 << g))
+            # Ascending, a parent formed by both halves is listed twice in a row.
+            parents = starts[over] & -(2 << g)
             starts = parents[np.diff(parents, prepend=-1) != 0]
             formed.append((g + 1, starts))
         return formed
+
+    def _in_order(
+        self, positions: np.ndarray, sign_bits: np.ndarray, starts: np.ndarray, g: int
+    ) -> np.ndarray:
+        """Keys ``block << shift | index << 1 | bit``, sorted, of the
+        arrivals into the level-``g`` blocks at ``starts``, where ``block``
+        is a block's start over ``2**g``: blocks are aligned, so one
+        lookup by ``position >> g`` picks their arrivals."""
+        pick = np.zeros(self.width >> g, dtype=bool)
+        pick[starts >> g] = True
+        block = positions >> g
+        index = np.flatnonzero(pick[block])
+        arrivals = block[index]
+        arrivals <<= len(positions).bit_length() + 1
+        arrivals |= index << 1 | sign_bits[index]
+        arrivals.sort()
+        return arrivals
 
     def _overflows(
         self, arrivals: np.ndarray, count: np.ndarray, cm0: np.ndarray, c0: np.ndarray, g: int
@@ -220,8 +284,9 @@ class SalsaRow:
         whether its running value passes its cap anywhere in the chunk.
 
         ``arrivals`` are the sorted keys ``block << shift | index << 1 |
-        bit`` of the ``count`` arrivals, at least one, into each block.
-        cm only rises, so its final value decides; c, its running extremes.
+        bit`` of the ``count`` arrivals, at least one, into each block,
+        the blocks in ascending order. cm only rises, so its final value
+        decides; c, its running extremes.
         """
         head = np.cumsum(count) - count
         run = np.cumsum(2 * (arrivals & 1) - 1)
@@ -258,14 +323,22 @@ class SalsaSimilaritySketch(_CounterSketch):
         return salsa_width(memory_bytes, rows)
 
     def _insert(self, items: np.ndarray) -> None:
-        """Updates go to copies of the rows, which replace them only once
-        every row has absorbed the whole batch, so saturation applies nothing."""
-        staged = [row.copy() for row in self.rows]
+        """A batch that could saturate a row goes to copies of the rows,
+        which replace them only once every row has absorbed all of it, so
+        saturation applies nothing. Only the whole-row counter can
+        saturate, and its ``|c| <= cm`` is at most the row's arrival
+        count, so while that count stays within the counter's c cap the
+        rows take the batch in place."""
+        top = min(self.params.width.bit_length() - 1, 3)
+        if self.total_inserted + items.size <= _C_CAPS[top]:
+            rows = self.rows
+        else:
+            rows = [row.copy() for row in self.rows]
         for row, (idx, sign) in self.hash.chunk_hashes(items, (HashKind.INDEX, HashKind.SIGN)):
             sign >>= np.uint64(63)
             positions = bucket_of(idx, self.params.width).view(np.int64)
-            staged[row].add_many(positions, sign.view(np.int64))
-        self.rows = staged
+            rows[row].add_many(positions, sign.view(np.int64))
+        self.rows = rows
 
     def _jaccard(self, other: "SalsaSimilaritySketch") -> float:
         """Weighted two-field estimate over aligned logical counters: each

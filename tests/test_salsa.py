@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import multiset_of, random_stream_pair
+from conftest import multiset_of, random_stream_pair, traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import reference as ref
@@ -147,6 +147,25 @@ class TestRowMerging:
         assert_rows_equal([row], [expected])
         with pytest.raises(ValueError):
             row.coalesce(np.array([8, 12]), 1)
+
+    @pytest.mark.parametrize(
+        "start,g",
+        [
+            (1, 1),  # not a multiple of 2**g
+            (8, 0),  # past the row's end
+            (6, 2),  # runs past the row's end
+            (0, 4),  # wider than the row
+            (-2, 1),  # before the row's start
+            (np.array([0, 3]), 1),  # one bad start among good ones
+        ],
+    )
+    def test_coalesce_refuses_a_block_the_row_lacks(self, start, g):
+        row = SalsaRow(8)
+        row.cm[:] = 1  # white-box: a value at every byte
+        before = row.copy()
+        with pytest.raises(ValueError, match=f"level-{g} block starts at"):
+            row.coalesce(start, g)
+        assert_rows_equal([row], [before])
 
     def test_saturated_row_errors(self):
         row = SalsaRow(1)
@@ -510,12 +529,14 @@ def add_many_caught(row, positions, bits):
 
 def counting(monkeypatch, name):
     """Count the arrivals passed to ``SalsaRow.<name>`` in its first
-    argument, over all calls."""
-    seen = {"arrivals": 0}
+    argument, over all calls, and per row under ``per_row``, keyed by
+    the row's ``id``."""
+    seen = {"arrivals": 0, "per_row": {}}
     original = getattr(SalsaRow, name)
 
     def spy(self, arrivals, *args):
         seen["arrivals"] += len(arrivals)
+        seen["per_row"][id(self)] = seen["per_row"].get(id(self), 0) + len(arrivals)
         return original(self, arrivals, *args)
 
     monkeypatch.setattr(SalsaRow, name, spy)
@@ -528,6 +549,31 @@ def arrivals(*runs):
     bits = np.concatenate([np.full(n, b, dtype=np.int64) for _, b, n in runs])
     order = np.random.default_rng(len(pos)).permutation(len(pos))
     return pos[order], bits[order]
+
+
+def check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed):
+    """Feed a fresh row of ``2**width_log`` bytes ``n`` arrivals, cut into
+    chunks at the fractions ``cuts``, and check each chunk against
+    ``replay_row``: Zipf-skewed positions when ``skew`` is set, and a +1
+    sign with probability ``p_plus``."""
+    rng = np.random.default_rng(seed)
+    width = 1 << width_log
+    if skew:
+        pos = (rng.zipf(skew, size=n) - 1) % width
+    else:
+        pos = rng.integers(0, width, size=n)
+    pos = pos.astype(np.int64)
+    bits = (rng.random(n) < p_plus).astype(np.int64)
+    row = SalsaRow(width)
+    for lo, hi in itertools.pairwise([0, *sorted(int(c * n) for c in cuts), n]):
+        before = row.copy()
+        expected, expected_err = replay_row(row, pos[lo:hi], bits[lo:hi])
+        err = add_many_caught(row, pos[lo:hi], bits[lo:hi])
+        assert err == expected_err
+        # A saturating chunk raises the replay's error and applies nothing.
+        assert_rows_equal([row], [before if err else expected])
+        if err:
+            break
 
 
 class TestRiskSplit:
@@ -580,6 +626,37 @@ class TestRiskSplit:
         assert err == expected_err
         assert_rows_equal([row], [SalsaRow(2)])
 
+    def test_running_value_past_the_cap_grows_though_the_final_fits(self, monkeypatch):
+        # c runs to +128 and back to +1 in 255 arrivals: cm and c end
+        # within one byte, so only the in-order walk finds the growth.
+        row = SalsaRow(4)
+        pos = np.zeros(255, dtype=np.int64)
+        bits = np.repeat(np.array([1, 0], dtype=np.int64), [128, 127])
+        expected, _ = replay_row(row, pos, bits)
+        walked = counting(monkeypatch, "_overflows")
+        row.add_many(pos, bits)
+        assert_rows_equal([row], [expected])
+        assert extent(row.level_of, 0) == (0, 2) and int(row.c[0]) == 1
+        assert walked["arrivals"] == 255
+
+    @pytest.mark.parametrize("light_first", [True, False])
+    def test_parent_growth_set_by_its_light_half(self, light_first):
+        # Byte 0 surely forms [0, 2). That block's c ends at 32,300, within
+        # its cap, and peaks at 32,800 only if byte 1's 100 +1 arrivals,
+        # too few to put byte 1 at risk, come before byte 0 turns back.
+        hot = np.zeros(33_200, dtype=np.int64)
+        hot_bits = np.repeat(np.array([1, 0], dtype=np.int64), [32_700, 500])
+        light, light_bits = np.ones(100, dtype=np.int64), np.ones(100, dtype=np.int64)
+        if light_first:
+            pos, bits = np.concatenate((light, hot)), np.concatenate((light_bits, hot_bits))
+        else:
+            pos, bits = np.concatenate((hot, light)), np.concatenate((hot_bits, light_bits))
+        row = SalsaRow(4)
+        expected, _ = replay_row(row, pos, bits)
+        row.add_many(pos, bits)
+        assert_rows_equal([row], [expected])
+        assert extent(row.level_of, 0) == ((0, 4) if light_first else (0, 2))
+
     @settings(max_examples=150, deadline=None)
     # One byte saturates at the 256th arrival, within the second batch.
     @example(width_log=0, n=400, skew=0.0, p_plus=0.5, cuts=[0.3], seed=1)
@@ -592,24 +669,25 @@ class TestRiskSplit:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_scalar_replay(self, width_log, n, skew, p_plus, cuts, seed):
-        rng = np.random.default_rng(seed)
-        width = 1 << width_log
-        if skew:
-            pos = (rng.zipf(skew, size=n) - 1) % width
-        else:
-            pos = rng.integers(0, width, size=n)
-        pos = pos.astype(np.int64)
-        bits = (rng.random(n) < p_plus).astype(np.int64)
-        row = SalsaRow(width)
-        for lo, hi in itertools.pairwise([0, *sorted(int(c * n) for c in cuts), n]):
-            before = row.copy()
-            expected, expected_err = replay_row(row, pos[lo:hi], bits[lo:hi])
-            err = add_many_caught(row, pos[lo:hi], bits[lo:hi])
-            assert err == expected_err
-            # A saturating chunk raises the replay's error and applies nothing.
-            assert_rows_equal([row], [before if err else expected])
-            if err:
-                break
+        check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed)
+
+    # A chunk of m arrivals counts its extents densely in a row of up to
+    # 2m bytes, and by a sort in a wider one.
+    @settings(max_examples=15, deadline=None)
+    # Hot bytes grow through cm, and through c in the in-order walk: one
+    # chunk counted densely, then one counted by a sort.
+    @example(width_log=13, n=16_400, skew=1.1, p_plus=0.75, cuts=[], seed=2)
+    @example(width_log=14, n=4000, skew=1.5, p_plus=0.75, cuts=[], seed=3)
+    @given(
+        width_log=st.sampled_from([13, 14, 15]),
+        n=st.integers(1, 20_000),
+        skew=st.sampled_from([1.1, 1.5, 3.0]),
+        p_plus=st.sampled_from([0.0, 0.5, 0.75, 0.9, 1.0]),
+        cuts=st.lists(st.floats(0, 1), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_replay_on_wide_rows(self, width_log, n, skew, p_plus, cuts, seed):
+        check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed)
 
     def test_wide_row(self):
         # A 2 MB budget: half a million bytes, a few of them hot.
@@ -631,3 +709,23 @@ class TestRiskSplit:
         s.insert_many(stream)
         assert s.rows[0].total_cm() == len(stream)
         assert walked["arrivals"] <= 0.25 * len(stream)
+
+    @pytest.mark.parametrize("memory_bytes", [1024, 10 * 1024])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_few_arrivals_take_the_in_order_path(self, monkeypatch, memory_bytes, rows):
+        # The stream of the test above: final values decide the growth of
+        # nearly every block, so few arrivals are walked in order.
+        stream = zipf_stream(ZipfSpec(n_items=100_000, n_distinct=50_000, alpha=1.0, seed=1))
+        s = SalsaSimilaritySketch.from_budget(memory_bytes, rows, 1)
+        walked = counting(monkeypatch, "_overflows")
+        s.insert_many(stream)
+        assert [row.total_cm() for row in s.rows] == [len(stream)] * rows
+        assert max(walked["per_row"].get(id(row), 0) for row in s.rows) <= 0.05 * len(stream)
+
+    def test_batch_that_cannot_saturate_is_not_staged(self):
+        # A 2 MB row holds about 9 MB of fields; a copy of them would show.
+        s = SalsaSimilaritySketch.from_budget(2 << 20, 1, 0)
+        row = s.rows[0]
+        peak, _ = traced_peak(s.insert_many, np.arange(1000, dtype=np.uint64))
+        assert peak < 1 << 20
+        assert s.rows[0] is row and row.total_cm() == 1000
