@@ -26,8 +26,9 @@ the row storage and its growth are its own.
 A batch insert hashes through the grids' chunked pass,
 :meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
 positions and sign bits. The row counts each touched extent's arrivals
-and +1 signs, by one ``bincount`` in a row of up to twice the chunk's
-length and by a sort in a wider one. A counter always holds its block's
+and +1 signs: with the grids' cut, by one ``bincount`` of a sign-offset
+key when its two bins per byte are fewer than a hash chunk's items, and
+by a sort of the extent starts in a wider row. A counter always holds its block's
 value from before the chunk plus every arrival into the block since.
 Before a block forms, that value is at most twice its halves' cap, below
 its own, so a block forms its parent exactly when the value passes its
@@ -49,7 +50,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from sketchsim.core import Algo, BudgetTooSmallError, RowSaturatedError, SketchParams
-from sketchsim.hashing import HashKind, bucket_of
+from sketchsim.hashing import HASH_CHUNK, HashKind, bucket_of
 from sketchsim.sketches import _CounterSketch, weighted_row_similarity
 
 # Per initial slot: one cm byte, one c byte, and one merge-indicator bit
@@ -185,11 +186,12 @@ class SalsaRow:
         width = self.width
         ext = np.left_shift(np.int64(-1), self.level_of[positions])
         ext &= positions
-        # A dense count costs O(width) per chunk, a sort O(m log m) for m
-        # arrivals. On one-row Zipf inserts in full hash chunks (numpy
-        # 2.4.6), the count is 1.2-1.7 times as fast up to width 2m, level
-        # at 4m, and 2.5 times slower at 16m, a 2 MB row.
-        if width <= 2 * len(positions):
+        # The grids' cut: a dense count costs O(bins) per chunk, a sort
+        # O(m log m) for m arrivals. On one full hash chunk (numpy 2.4.6),
+        # the count takes 0.1 ms at widths 2^7 to 2^13, the sort 0.6-1.1;
+        # at 2^16 they are level, and at 2^19, a 2 MB row, the count takes
+        # 6.1 ms and the sort 0.9.
+        if 2 * width < HASH_CHUNK:
             # Extent e counts at e + s*width, where s is the sign bit.
             ext += sign_bits * width
             counts = np.bincount(ext, minlength=2 * width)
@@ -328,7 +330,10 @@ class SalsaSimilaritySketch(_CounterSketch):
         saturation applies nothing. Only the whole-row counter can
         saturate, and its ``|c| <= cm`` is at most the row's arrival
         count, so while that count stays within the counter's c cap the
-        rows take the batch in place."""
+        rows take the batch in place. There only saturation, which cannot
+        happen, is all-or-nothing: another error, such as ``MemoryError``,
+        in a later chunk or row leaves the earlier ones applied and
+        ``total_inserted`` not raised."""
         top = min(self.params.width.bit_length() - 1, 3)
         if self.total_inserted + items.size <= _C_CAPS[top]:
             rows = self.rows

@@ -82,7 +82,9 @@ class _Sketch:
     type, then an equal ``geometry`` (the sizes and seed fixed at
     construction). Subclasses supply ``_insert``, which applies a batch of
     ids whole or raises having applied nothing, and ``_jaccard``, the raw
-    estimate of two non-empty sketches."""
+    estimate of two non-empty sketches. SALSA keeps that promise for
+    saturation only: a batch that cannot saturate is written in place, so
+    another error, such as ``MemoryError``, can leave part of it applied."""
 
     ALGO: Algo
 
@@ -96,7 +98,8 @@ class _Sketch:
         self.insert_many([item])
 
     def insert_many(self, items) -> None:
-        """Insert a batch of integer ids; a batch that raises changes nothing."""
+        """Insert a batch of integer ids; a batch that raises the sketch's
+        own error (a counter overflow or a saturated row) changes nothing."""
         items = item_ids(items)
         if items.size == 0:
             return

@@ -551,11 +551,14 @@ def arrivals(*runs):
     return pos[order], bits[order]
 
 
-def check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed):
+def check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed, swing=False):
     """Feed a fresh row of ``2**width_log`` bytes ``n`` arrivals, cut into
     chunks at the fractions ``cuts``, and check each chunk against
     ``replay_row``: Zipf-skewed positions when ``skew`` is set, and a +1
-    sign with probability ``p_plus``."""
+    sign with probability ``p_plus``, or, with ``swing``, +1 for the first
+    ``p_plus`` share of the arrivals and -1 for the rest. A swing takes a
+    byte's c up and back, so its running maximum can pass the cap while
+    its final value fits."""
     rng = np.random.default_rng(seed)
     width = 1 << width_log
     if skew:
@@ -563,7 +566,7 @@ def check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed):
     else:
         pos = rng.integers(0, width, size=n)
     pos = pos.astype(np.int64)
-    bits = (rng.random(n) < p_plus).astype(np.int64)
+    bits = ((np.arange(n) / n if swing else rng.random(n)) < p_plus).astype(np.int64)
     row = SalsaRow(width)
     for lo, hi in itertools.pairwise([0, *sorted(int(c * n) for c in cuts), n]):
         before = row.copy()
@@ -659,7 +662,10 @@ class TestRiskSplit:
 
     @settings(max_examples=150, deadline=None)
     # One byte saturates at the 256th arrival, within the second batch.
-    @example(width_log=0, n=400, skew=0.0, p_plus=0.5, cuts=[0.3], seed=1)
+    @example(width_log=0, n=400, skew=0.0, p_plus=0.5, cuts=[0.3], seed=1, swing=False)
+    # A swing grows a byte whose c ends within its cap, found only by
+    # the in-order walk.
+    @example(width_log=6, n=400, skew=1.5, p_plus=0.9, cuts=[], seed=2, swing=True)
     @given(
         width_log=st.integers(0, 10),
         n=st.integers(1, 4000),
@@ -667,17 +673,19 @@ class TestRiskSplit:
         p_plus=st.sampled_from([0.0, 0.02, 0.5, 0.9, 1.0]),
         cuts=st.lists(st.floats(0, 1), max_size=4),
         seed=st.integers(0, 2**32 - 1),
+        swing=st.booleans(),
     )
-    def test_matches_scalar_replay(self, width_log, n, skew, p_plus, cuts, seed):
-        check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed)
+    def test_matches_scalar_replay(self, width_log, n, skew, p_plus, cuts, seed, swing):
+        check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed, swing)
 
-    # A chunk of m arrivals counts its extents densely in a row of up to
-    # 2m bytes, and by a sort in a wider one.
+    # A row counts its extents densely below 2**14 bytes, where its two
+    # bins per byte are fewer than a hash chunk's items, and by a sort
+    # from there.
     @settings(max_examples=15, deadline=None)
-    # Hot bytes grow through cm, and through c in the in-order walk: one
-    # chunk counted densely, then one counted by a sort.
-    @example(width_log=13, n=16_400, skew=1.1, p_plus=0.75, cuts=[], seed=2)
-    @example(width_log=14, n=4000, skew=1.5, p_plus=0.75, cuts=[], seed=3)
+    # Swings grow bytes whose c ends within its cap, found only by the
+    # in-order walk: one chunk counted densely, then one counted by a sort.
+    @example(width_log=13, n=16_400, skew=1.1, p_plus=0.75, cuts=[], seed=2, swing=True)
+    @example(width_log=14, n=4000, skew=1.5, p_plus=0.9, cuts=[], seed=1, swing=True)
     @given(
         width_log=st.sampled_from([13, 14, 15]),
         n=st.integers(1, 20_000),
@@ -685,9 +693,12 @@ class TestRiskSplit:
         p_plus=st.sampled_from([0.0, 0.5, 0.75, 0.9, 1.0]),
         cuts=st.lists(st.floats(0, 1), max_size=3),
         seed=st.integers(0, 2**32 - 1),
+        swing=st.booleans(),
     )
-    def test_matches_scalar_replay_on_wide_rows(self, width_log, n, skew, p_plus, cuts, seed):
-        check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed)
+    def test_matches_scalar_replay_on_wide_rows(
+        self, width_log, n, skew, p_plus, cuts, seed, swing
+    ):
+        check_chunks_against_replay(width_log, n, skew, p_plus, cuts, seed, swing)
 
     def test_wide_row(self):
         # A 2 MB budget: half a million bytes, a few of them hot.
