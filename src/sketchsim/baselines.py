@@ -33,9 +33,9 @@ which runs ``insert_many`` and ``estimate_jaccard`` around each one's
 of arrivals, the checks before a comparison, which raise
 ``IncompatibleSketchError`` across types, sizes or seeds and
 ``UndefinedSimilarityError`` for two empty sketches, the 0.0 of one
-empty side, and the clamp. ``from_budget`` refuses a nonpositive
-``memory_bytes`` or ``rows`` with ``ValueError``, as the counter sketches
-do, and otherwise ignores ``rows``. It gives MinHash and MaxLogHash
+empty side, and the clamp. ``from_budget`` takes ``memory_bytes`` and
+``rows`` through the counter sketches' one check, ``core.check_budget``,
+and otherwise ignores ``rows``. It gives MinHash and MaxLogHash
 ``k = max(1, memory_bytes // 8)`` registers, DotHash as many
 coordinates, and HLL ``m_bits``, the largest m with 2**m <=
 memory_bytes, clamped to [4, 26].
@@ -48,7 +48,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from sketchsim.core import Algo, DegenerateEstimateError, ItemId, SketchParams, integer_id, item_ids
+from sketchsim.core import (
+    Algo, DegenerateEstimateError, ItemId, SketchParams, check_budget, integer_id, item_ids
+)
 from sketchsim.hashing import (
     HASH_CHUNK,
     MASK64,
@@ -228,10 +230,7 @@ class _SetSketch(_Sketch):
 
     @classmethod
     def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
-        if memory_bytes < 1 or rows < 1:
-            raise ValueError(
-                f"memory_bytes and rows must be positive, got ({memory_bytes}, {rows})"
-            )
+        memory_bytes, _ = check_budget(memory_bytes, rows)
         return cls(cls._budget_size(memory_bytes), master_seed=master_seed)
 
     @staticmethod

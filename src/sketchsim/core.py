@@ -1,10 +1,10 @@
 """Shared domain types for the similarity-sketch family.
 
 Every sketch in this package is sized from a byte budget: the caller fixes
-the total memory and a row count, and the number of counters per row follows
-from the variant's per-slot byte cost. Keeping the budget authoritative (and
-the width always derived) is what makes cross-algorithm accuracy comparisons
-memory-fair.
+the total memory and a row count, one check, :func:`check_budget`, judges
+both, and the number of counters per row follows from the variant's
+per-slot byte cost. Keeping the budget authoritative (and the width always
+derived) is what makes cross-algorithm accuracy comparisons memory-fair.
 """
 
 from __future__ import annotations
@@ -20,19 +20,24 @@ ItemId = int
 down to one of these; equality of ids is identity of items."""
 
 
+def _integer(value, rule: str) -> int:
+    """``value`` through ``operator.index``, as a Python int. A bool or a
+    non-integer, such as a float, raises ``TypeError`` stating ``rule``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{rule}, got {type(value).__name__} {value!r}")
+
+
 def integer_id(item) -> int:
     """``item`` as a Python int. A float or a bool raises ``TypeError``, and
     an int outside [0, 2**64), which a uint64 cast would wrap, ``ValueError``."""
-    if not isinstance(item, bool):
-        try:
-            value = operator.index(item)
-        except TypeError:
-            pass
-        else:
-            if 0 <= value < 1 << 64:
-                return value
-            raise ValueError(f"item ids must lie in [0, 2**64), got {value}")
-    raise TypeError(f"item ids must be integers, got {type(item).__name__} {item!r}")
+    value = _integer(item, "item ids must be integers")
+    if 0 <= value < 1 << 64:
+        return value
+    raise ValueError(f"item ids must lie in [0, 2**64), got {value}")
 
 
 def item_ids(items) -> np.ndarray:
@@ -89,6 +94,18 @@ class Algo(str, enum.Enum):
     DOTHASH = "dothash"
 
 
+def check_budget(memory_bytes: int, rows: int) -> tuple[int, int]:
+    """``(memory_bytes, rows)`` as Python ints, after every budget's one
+    check: a bool or a non-integer raises ``TypeError`` naming its
+    argument, and a value below 1 ``ValueError``. Each sketch's sizing
+    rule reads the pair this returns."""
+    memory_bytes = _integer(memory_bytes, "memory_bytes must be an integer")
+    rows = _integer(rows, "rows must be an integer")
+    if memory_bytes < 1 or rows < 1:
+        raise ValueError(f"memory_bytes and rows must be positive, got ({memory_bytes}, {rows})")
+    return memory_bytes, rows
+
+
 def derive_width(memory_bytes: int, rows: int, slot_bytes: int) -> int:
     """Number of counters per row affordable under ``memory_bytes``.
 
@@ -101,13 +118,13 @@ def derive_width(memory_bytes: int, rows: int, slot_bytes: int) -> int:
         ``memory_bytes // (rows * slot_bytes)``, always at least 1.
 
     Raises:
+        TypeError, ValueError: from :func:`check_budget`, or ValueError if
+            ``slot_bytes`` is below 1.
         BudgetTooSmallError: if the budget cannot fit one slot per row.
     """
-    if memory_bytes < 1 or rows < 1 or slot_bytes < 1:
-        raise ValueError(
-            f"memory_bytes, rows and slot_bytes must be positive, got "
-            f"({memory_bytes}, {rows}, {slot_bytes})"
-        )
+    memory_bytes, rows = check_budget(memory_bytes, rows)
+    if slot_bytes < 1:
+        raise ValueError(f"slot_bytes must be positive, got {slot_bytes}")
     width = memory_bytes // (rows * slot_bytes)
     if width < 1:
         raise BudgetTooSmallError(
@@ -123,7 +140,9 @@ class SketchParams:
 
     ``width`` is normally derived from the budget via :func:`derive_width`;
     constructing params with an explicit width is meant for tests and
-    differential experiments.
+    differential experiments. ``rows`` and ``width`` are taken as budgets
+    are: a bool or a non-integer raises ``TypeError``, and a value below 1
+    ``ValueError``.
     """
 
     rows: int
@@ -131,10 +150,11 @@ class SketchParams:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1:
-            raise ValueError(f"rows must be >= 1, got {self.rows}")
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+        for name in ("rows", "width"):
+            value = _integer(getattr(self, name), f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -18,28 +18,28 @@ the positionwise maximum of their level maps. Bytes that are not an
 extent start hold 0 in both fields, so in any layout no finer than a
 row's own, a counter is the plain sum of its block's bytes.
 
-The sketch shares its params, hashing, entry points and compatibility
-checks with the grid sketches of :mod:`sketchsim.sketches`, and scores
-each aligned row with the grid's :func:`weighted_row_similarity`. Only
-the row storage and its growth are its own.
+The sketch shares its params, budget check, slot pass, counter caps,
+entry points and compatibility checks with the grid sketches of
+:mod:`sketchsim.sketches`, and scores each aligned row with the grid's
+:func:`weighted_row_similarity`. Only the row storage and its growth are
+its own.
 
-A batch insert hashes through the grids' chunked pass,
-:meth:`HashFamily.chunk_hashes`, and feeds each row its chunk of
-positions and sign bits. The row counts each touched extent's arrivals
-and +1 signs: with the grids' cut, by one ``bincount`` of a sign-offset
-key when its two bins per byte are fewer than a hash chunk's items, and
-by a sort of the extent starts in a wider row. A counter always holds its block's
-value from before the chunk plus every arrival into the block since.
-Before a block forms, that value is at most twice its halves' cap, below
-its own, so a block forms its parent exactly when the value passes its
-cap anywhere in the chunk. The final value settles that for most blocks:
-one that ends past its cap grows, and one whose worst case fits does
-not. Only the other blocks' arrivals are walked in arrival order, for
-c's running extremes. The row decides every growth so before it writes,
-then adds each extent's count and sign sum and coalesces the formed
-blocks. That equals adding the arrivals one at a time, each first
-growing its counter until the new value fits, as the tests' replay does,
-except that a chunk that saturates the row raises
+A batch insert takes the grids' slot pass, which feeds each row its
+chunk of positions and sign bits. The row counts each touched extent's
+arrivals and +1 signs: with the grids' cut, by one ``bincount`` of a
+sign-offset key when its two bins per byte are fewer than a hash chunk's
+items, and by a sort of the extent starts in a wider row. A counter
+always holds its block's value from before the chunk plus every arrival
+into the block since. Before a block forms, that value is at most twice
+its halves' cap, below its own, so a block forms its parent exactly when
+the value passes its cap anywhere in the chunk. The final value settles
+that for most blocks: one that ends past its cap grows, and one whose
+worst case fits does not. Only the other blocks' arrivals are walked in
+arrival order, for c's running extremes. The row decides every growth so
+before it writes, then adds each extent's count and sign sum and
+coalesces the formed blocks. That equals adding the arrivals one at a
+time, each first growing its counter until the new value fits, as the
+tests' replay does, except that a chunk that saturates the row raises
 :class:`RowSaturatedError` with the row unchanged.
 """
 
@@ -49,21 +49,14 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from sketchsim.core import Algo, BudgetTooSmallError, RowSaturatedError, SketchParams
-from sketchsim.hashing import HASH_CHUNK, HashKind, bucket_of
-from sketchsim.sketches import _CounterSketch, weighted_row_similarity
+from sketchsim.core import Algo, BudgetTooSmallError, RowSaturatedError, SketchParams, check_budget
+from sketchsim.hashing import HASH_CHUNK
+from sketchsim.sketches import _C_CAPS, _CM_CAPS, _CounterSketch, weighted_row_similarity
 
 # Per initial slot: one cm byte, one c byte, and one merge-indicator bit
 # per field byte. Memory accounting is bit-granular because 18 bits is
 # not a whole byte count.
 SLOT_BITS = 18
-
-# Counter caps by level: a level-g counter has 2**g bytes per field, and
-# the signed range is symmetric. Caps above level 2 pass int64; they are
-# clamped, which changes no decision, because no counter can exceed the
-# number of arrivals inserted.
-_CM_CAPS = np.array([255, (1 << 16) - 1, (1 << 32) - 1, (1 << 62) - 1], dtype=np.int64)
-_C_CAPS = np.array([127, (1 << 15) - 1, (1 << 31) - 1, (1 << 61) - 1], dtype=np.int64)
 
 
 def _over(level, cm: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray) -> np.ndarray:
@@ -82,10 +75,7 @@ def _starts(level: np.ndarray) -> np.ndarray:
 def salsa_width(memory_bytes: int, rows: int) -> int:
     """Initial slots per row: byte budget at 18 bits per slot, floored to
     a power of two so full-row merges stay well-formed."""
-    if memory_bytes < 1 or rows < 1:
-        raise ValueError(
-            f"memory_bytes and rows must be positive, got ({memory_bytes}, {rows})"
-        )
+    memory_bytes, rows = check_budget(memory_bytes, rows)
     raw = (memory_bytes * 8) // (rows * SLOT_BITS)
     if raw < 1:
         raise BudgetTooSmallError(
@@ -248,8 +238,8 @@ class SalsaRow:
             over = _over(g, cm_end, c_end, c_end)
             walk = _over(g, cm_end, c + plus, c - (count - plus)) & ~over
             if walk.any():
-                arrivals = self._in_order(positions, sign_bits, starts[walk], g)
-                over[walk] = self._overflows(arrivals, count[walk], cm[walk], c[walk], g)
+                steps = self._in_order(positions, sign_bits, starts[walk], g)
+                over[walk] = self._overflows(steps, count[walk], cm[walk], c[walk], g)
             if g == top:
                 if over.any():
                     raise RowSaturatedError(
@@ -265,34 +255,27 @@ class SalsaRow:
     def _in_order(
         self, positions: np.ndarray, sign_bits: np.ndarray, starts: np.ndarray, g: int
     ) -> np.ndarray:
-        """Keys ``block << shift | index << 1 | bit``, sorted, of the
-        arrivals into the level-``g`` blocks at ``starts``, where ``block``
-        is a block's start over ``2**g``: blocks are aligned, so one
-        lookup by ``position >> g`` picks their arrivals."""
+        """The c steps, +1 or -1, of the arrivals into the level-``g``
+        blocks at ``starts``, by ascending block and in arrival order within
+        a block: blocks are aligned, so one lookup by ``position >> g``
+        picks their arrivals, and a stable sort by block keeps that order."""
         pick = np.zeros(self.width >> g, dtype=bool)
         pick[starts >> g] = True
         block = positions >> g
         index = np.flatnonzero(pick[block])
-        arrivals = block[index]
-        arrivals <<= len(positions).bit_length() + 1
-        arrivals |= index << 1 | sign_bits[index]
-        arrivals.sort()
-        return arrivals
+        return 2 * sign_bits[index[np.argsort(block[index], kind="stable")]] - 1
 
     def _overflows(
-        self, arrivals: np.ndarray, count: np.ndarray, cm0: np.ndarray, c0: np.ndarray, g: int
+        self, steps: np.ndarray, count: np.ndarray, cm0: np.ndarray, c0: np.ndarray, g: int
     ) -> np.ndarray:
         """Per level-``g`` block, worth ``cm0`` and ``c0`` before the chunk,
-        whether its running value passes its cap anywhere in the chunk.
-
-        ``arrivals`` are the sorted keys ``block << shift | index << 1 |
-        bit`` of the ``count`` arrivals, at least one, into each block,
-        the blocks in ascending order. cm only rises, so its final value
-        decides; c, its running extremes.
-        """
+        whether its running value passes its cap anywhere in the chunk, from
+        :meth:`_in_order`'s c ``steps`` of the ``count`` arrivals, at least
+        one, into each block. cm only rises, so its final value decides; c,
+        its running extremes."""
         head = np.cumsum(count) - count
-        run = np.cumsum(2 * (arrivals & 1) - 1)
-        base = run[head] - (2 * (arrivals[head] & 1) - 1)
+        run = np.cumsum(steps)
+        base = run[head] - steps[head]
         hi = np.maximum.reduceat(run, head) - base
         lo = np.minimum.reduceat(run, head) - base
         return _over(g, cm0 + count, c0 + hi, c0 + lo)
@@ -330,19 +313,15 @@ class SalsaSimilaritySketch(_CounterSketch):
         saturation applies nothing. Only the whole-row counter can
         saturate, and its ``|c| <= cm`` is at most the row's arrival
         count, so while that count stays within the counter's c cap the
-        rows take the batch in place. There only saturation, which cannot
-        happen, is all-or-nothing: another error, such as ``MemoryError``,
-        in a later chunk or row leaves the earlier ones applied and
-        ``total_inserted`` not raised."""
+        rows take the batch in place, under :meth:`insert_many`'s
+        contract for writes in place."""
         top = min(self.params.width.bit_length() - 1, 3)
         if self.total_inserted + items.size <= _C_CAPS[top]:
             rows = self.rows
         else:
             rows = [row.copy() for row in self.rows]
-        for row, (idx, sign) in self.hash.chunk_hashes(items, (HashKind.INDEX, HashKind.SIGN)):
-            sign >>= np.uint64(63)
-            positions = bucket_of(idx, self.params.width).view(np.int64)
-            rows[row].add_many(positions, sign.view(np.int64))
+        for row, positions, sign_bits in self._slots(items):
+            rows[row].add_many(positions, sign_bits)
         self.rows = rows
 
     def _jaccard(self, other: "SalsaSimilaritySketch") -> float:

@@ -20,15 +20,17 @@ sketching the concatenated streams, counter for counter.
 Counters are 32-bit (overflow-checked, not saturating), so a grid holds
 exactly the bytes its budget is charged for. Totals are formed and checked
 in int64 before they are written back, so no check sees a wrapped value.
+The caps are SALSA's 4-byte caps, from one table by byte length.
 
 All eight sketches, these and the set baselines, derive from ``_Sketch``,
 which runs ``insert_many`` and ``estimate_jaccard``; each sketch writes
-only its update, ``_insert``, and its raw estimator, ``_jaccard``.
+only its update, ``_insert``, and its raw estimator, ``_jaccard``. The
+grids and SALSA also share ``_CounterSketch``'s sizing and slot pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
@@ -46,10 +48,13 @@ from sketchsim.core import (
 )
 from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind, bucket_of
 
-_CM_MAX = (1 << 32) - 1
-# Symmetric signed bounds; the negative end of two's complement is unused
-# so that magnitude bounds are sign-independent.
-_C_MAX = (1 << 31) - 1
+# Counter caps by byte length: a 2**g-byte counter holds cm up to
+# _CM_CAPS[g] and c within +-_C_CAPS[g], symmetric so that magnitude bounds
+# are sign-independent. A grid field is 4 bytes, g = 2. The level-3 caps
+# pass int64 and are clamped, which changes no decision: no counter can
+# exceed the number of arrivals inserted.
+_CM_CAPS = np.array([255, (1 << 16) - 1, (1 << 32) - 1, (1 << 62) - 1], dtype=np.int64)
+_C_CAPS = np.array([127, (1 << 15) - 1, (1 << 31) - 1, (1 << 61) - 1], dtype=np.int64)
 
 
 def sign_gated_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,10 +86,8 @@ class _Sketch:
     and the checks two sketches pass before they are compared: the same
     type, then an equal ``geometry`` (the sizes and seed fixed at
     construction). Subclasses supply ``_insert``, which applies a batch of
-    ids whole or raises having applied nothing, and ``_jaccard``, the raw
-    estimate of two non-empty sketches. SALSA keeps that promise for
-    saturation only: a batch that cannot saturate is written in place, so
-    another error, such as ``MemoryError``, can leave part of it applied."""
+    ids under :meth:`insert_many`'s contract, and ``_jaccard``, the raw
+    estimate of two non-empty sketches."""
 
     ALGO: Algo
 
@@ -98,8 +101,13 @@ class _Sketch:
         self.insert_many([item])
 
     def insert_many(self, items) -> None:
-        """Insert a batch of integer ids; a batch that raises the sketch's
-        own error (a counter overflow or a saturated row) changes nothing."""
+        """Insert a batch of integer ids. A batch that the id rule refuses,
+        or that raises the sketch's own error (a counter overflow or a
+        saturated row), changes nothing. Another error, such as
+        ``MemoryError`` or an interrupt, can leave part of it applied, with
+        ``total_inserted`` not raised, in each sketch that writes in place:
+        SALSA (a batch that cannot saturate), HLL (per chunk), MaxLogHash
+        (per chunk and row) and DotHash (per item)."""
         items = item_ids(items)
         if items.size == 0:
             return
@@ -133,8 +141,8 @@ class _Sketch:
 
 
 class _CounterSketch(_Sketch):
-    """Params and budget sizing of every counter sketch; the params are
-    its geometry. Subclasses supply ``_budget_width``."""
+    """Params, budget sizing and the slot pass of every counter sketch;
+    the params are its geometry. Subclasses supply ``_budget_width``."""
 
     def __init__(self, params: SketchParams) -> None:
         super().__init__(params, params.master_seed, params.rows)
@@ -145,13 +153,24 @@ class _CounterSketch(_Sketch):
         width = cls._budget_width(memory_bytes, rows)
         return cls(SketchParams(rows=rows, width=width, master_seed=master_seed))
 
+    def _slots(self, items: np.ndarray, signed: bool = True) -> Iterator[tuple]:
+        """``(row, slot, sign_bit)`` per row and hash chunk of ``items``:
+        int64 views, valid until the next step, of each arrival's slot and,
+        if ``signed``, its sign bit (1 for +1, 0 for -1), else None."""
+        kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
+        for row, hashes in self.hash.chunk_hashes(items, kinds):
+            slot, sign_bit = bucket_of(hashes[0], self.params.width), None
+            if signed:
+                sign_bit = np.right_shift(hashes[1], np.uint64(63), out=hashes[1]).view(np.int64)
+            yield row, slot.view(np.int64), sign_bit
+
 
 def _check_range(totals: np.ndarray, signed: bool, what: str) -> None:
     # Unsigned totals are sums of counts, so only their maximum can fail.
-    if signed and (int(totals.max(initial=0)) > _C_MAX or int(totals.min(initial=0)) < -_C_MAX):
-        raise CounterOverflowError(f"{what} would exceed the signed 32-bit counter range")
-    if not signed and int(totals.max(initial=0)) > _CM_MAX:
-        raise CounterOverflowError(f"{what} would exceed the 32-bit counter range")
+    cap = int((_C_CAPS if signed else _CM_CAPS)[2])
+    if int(totals.max(initial=0)) > cap or (signed and int(totals.min(initial=0)) < -cap):
+        kind = "signed 32-bit" if signed else "32-bit"
+        raise CounterOverflowError(f"{what} would exceed the {kind} counter range")
 
 
 class _GridSketch(_CounterSketch):
@@ -180,19 +199,14 @@ class _GridSketch(_CounterSketch):
     def _insert(self, items: np.ndarray) -> None:
         width = self.params.width
         signed = any(self.FIELDS.values())
-        kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
         # A signed grid counts slot i + s*width, where s is the arrival's
         # sign bit (1 for +1), so one count gives both signs per slot.
         bins = 2 * width if signed else width
         counts = np.zeros((self.params.rows, bins), dtype=np.int64)
-        for row, hashes in self.hash.chunk_hashes(items, kinds):
-            idx = bucket_of(hashes[0], width)
+        for row, idx, sign_bit in self._slots(items, signed):
             if signed:
-                sign_bit = hashes[1]
-                sign_bit >>= np.uint64(63)
-                sign_bit *= np.uint64(width)
+                sign_bit *= width
                 idx += sign_bit
-            idx = idx.view(np.int64)
             # A dense count costs O(bins) per chunk, a scattered add
             # O(items). On numpy 2.4.6, bincount is level to 13% faster at
             # 10 KB grids, and add.at 1.3-7 times faster from 32k bins up.

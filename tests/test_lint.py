@@ -188,3 +188,28 @@ def test_the_package_calls_no_one_item_hash_view():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in views
     ]
     assert not calls, "calls of a one-item hash view in the package: " + ", ".join(calls)
+
+
+def test_budgets_are_checked_in_one_place():
+    # core.check_budget judges every budget, and each sizing rule reads the
+    # pair it returns. A second comparison could accept what it refuses.
+    def reads_budget(node):
+        return isinstance(node, ast.Compare) and any(
+            getattr(n, "id", getattr(n, "attr", None)) == "memory_bytes" for n in ast.walk(node)
+        )
+
+    found = []
+    for path in ROOT.glob("src/sketchsim/*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(n)
+            for check in tree.body
+            if path.name == "core.py" and getattr(check, "name", None) == "check_budget"
+            for n in ast.walk(check)
+        }
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if reads_budget(node) and id(node) not in allowed
+        ]
+    assert not found, "memory_bytes compared outside core.check_budget: " + ", ".join(found)

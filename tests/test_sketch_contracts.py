@@ -12,7 +12,9 @@ they come as an array, a list or a scalar, and Python ints outside
 outside the sketches (the adapters, the oracle, the split and the hash
 family) and the per-item paths: the oracle's, ``OccurrenceItem``,
 ``expand_cm``, a one-item hash view, and the tests' exact expansion. An
-integer array of any shape is taken as its flat batch.
+integer array of any shape is taken as its flat batch. Every budget, and
+the rows and width of ``SketchParams``, is refused by name when it is a
+bool or not an integer.
 """
 
 import itertools
@@ -41,11 +43,12 @@ from sketchsim.core import (
     IncompatibleSketchError,
     SketchParams,
     UndefinedSimilarityError,
+    derive_width,
 )
 from sketchsim.datagen import random_split
 from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind
 from sketchsim.oracle import ExactMultiset, multiset_jaccard
-from sketchsim.salsa import SalsaSimilaritySketch
+from sketchsim.salsa import SalsaSimilaritySketch, salsa_width
 from sketchsim.sketches import (
     CmSimilaritySketch,
     CountSimilaritySketch,
@@ -466,3 +469,44 @@ class TestItemIds:
                 assert pickle.dumps(s) == pickle.dumps(reference)
             else:
                 assert s.is_empty()
+
+
+BUDGET_CLASSES = [type(make()) for make in ALL_SKETCHES.values()]
+# Every rule that sizes from (memory_bytes, rows).
+BUDGET_RULES = {
+    **{cls.__name__: lambda m, r, cls=cls: cls.from_budget(m, r, 0) for cls in BUDGET_CLASSES},
+    "derive_width": lambda m, r: derive_width(m, r, 4),
+    "salsa_width": salsa_width,
+}
+
+
+def refusal(name, value):
+    """The id rule's wording, for the argument ``name``."""
+    return rf"^{name} must be an integer, got {type(value).__name__} {value!r}$"
+
+
+class TestBudgetArguments:
+    # Every budget passes one check, core.check_budget. A float would size
+    # a sketch by a fractional width, or fail on int-only calls, and a bool
+    # would count as 0 or 1.
+    @pytest.mark.parametrize("rule", list(BUDGET_RULES))
+    @pytest.mark.parametrize(
+        "name,bad", [("memory_bytes", 1024.5), ("rows", 1.0), ("memory_bytes", True), ("rows", True)]
+    )
+    def test_non_integers_are_refused_by_name(self, rule, name, bad):
+        budget = {"memory_bytes": 1024, "rows": 1, name: bad}
+        with pytest.raises(TypeError, match=refusal(name, bad)):
+            BUDGET_RULES[rule](budget["memory_bytes"], budget["rows"])
+
+    @pytest.mark.parametrize("name", ["rows", "width"])
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_params_refuse_non_integers(self, name, bad):
+        kwargs = {**dict(rows=2, width=4, master_seed=0), name: bad}
+        with pytest.raises(TypeError, match=refusal(name, bad)):
+            SketchParams(**kwargs)
+
+    @pytest.mark.parametrize("cls", BUDGET_CLASSES, ids=lambda cls: cls.__name__)
+    def test_numpy_integers_size_as_python_ints(self, cls):
+        # operator.index takes a numpy integer as its Python int.
+        s = cls.from_budget(np.int64(1024), np.int32(2), 3)
+        assert pickle.dumps(s) == pickle.dumps(cls.from_budget(1024, 2, 3))
