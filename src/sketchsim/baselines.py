@@ -11,13 +11,17 @@ two items share one; the cm adapter's keys are its count-min buckets,
 one per row, where collisions can over-report (cheaper, slightly lossy).
 Each adapter maps a batch straight to 64-bit ids (``expand_exact_ids``,
 ``expand_cm_ids``), and ``expand_cm`` yields the cm adapter's numbers
-from the same array as :class:`OccurrenceItem` pairs. Both take each
-key's running counts from ``occurrence_numbers``, which sorts three times
-in one int64 buffer that becomes its result, with no stable sort and no
-scatter, and ends in one remainder. Its keys reach n² + n - 1, so it
-refuses a batch of more than ``MAX_OCCURRENCE_BATCH`` (3,037,000,499)
-ids, where they would wrap int64. The adapters then write each id over
-the occurrence number it is made from, one hashing chunk at a time.
+from the same array as :class:`OccurrenceItem` pairs. The exact adapter
+takes each item's running counts from ``occurrence_numbers``, which sorts
+three times in one int64 buffer that becomes its result, with no stable
+sort and no scatter, and ends in one remainder. Its keys reach
+n² + n - 1, so it refuses a batch of more than ``MAX_OCCURRENCE_BATCH``
+(3,037,000,499) ids, where they would wrap int64. The cm adapter counts
+per bucket instead: one pass over the hashing chunks keeps each row's
+table of running bucket counts and ranks a chunk's arrivals within
+their buckets with one stable argsort of narrow buckets. The adapters
+then write each id over the occurrence number it is made from, one
+hashing chunk at a time.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -38,7 +42,8 @@ empty side, and the clamp. ``from_budget`` takes ``memory_bytes`` and
 and otherwise ignores ``rows``. It gives MinHash and MaxLogHash
 ``k = max(1, memory_bytes // 8)`` registers, DotHash as many
 coordinates, and HLL ``m_bits``, the largest m with 2**m <=
-memory_bytes, clamped to [4, 26].
+memory_bytes, clamped to [4, 26]. Each constructor takes its size and
+``master_seed`` by the same integer rule.
 """
 
 from __future__ import annotations
@@ -49,13 +54,21 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from sketchsim.core import (
-    Algo, DegenerateEstimateError, ItemId, SketchParams, check_budget, integer_id, item_ids
+    Algo,
+    DegenerateEstimateError,
+    ItemId,
+    SketchParams,
+    _integer,
+    check_budget,
+    integer_id,
+    item_ids,
 )
 from sketchsim.hashing import (
     HASH_CHUNK,
     MASK64,
     HashFamily,
     HashKind,
+    bucket_of,
     close_hash,
     mix64,
     mix64_into,
@@ -187,17 +200,43 @@ def _cm_occurrences(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
     """Each arrival's count-min occurrence number, as int64.
 
     The count-min counter an arrival reads is the running count of its
-    bucket, so its occurrence number is the minimum over rows of the
-    bucket sequence's exact occurrence numbers.
+    bucket, so one pass over the hashing chunks keeps each row's table of
+    running bucket counts. In a chunk, an arrival's count is the table's
+    count before the chunk plus its rank among the chunk's arrivals in
+    its bucket, which a stable argsort of the buckets gives: its slot in
+    sorted order, less the slots of the smaller buckets. The buckets are
+    sorted in the narrowest unsigned dtype that holds them, where numpy's
+    stable sort of 16 bits or fewer is a radix sort. The result takes
+    the minimum over rows, and each row's table then adds the chunk's
+    bucket counts.
     """
+    width = cm_params.width
     family = HashFamily(cm_params.master_seed, cm_params.rows)
-    occ = None
-    for row in range(cm_params.rows):
-        # Unnamed, the buckets die in occurrence_numbers: one batch fewer at its peak.
-        row_occ = occurrence_numbers(
-            family.index_hash_many(items, row, cm_params.width).view(np.uint64)
-        )
-        occ = row_occ if occ is None else np.minimum(occ, row_occ, out=occ)
+    counts = np.zeros((cm_params.rows, width), np.int64)
+    occ = np.empty(items.size, np.int64)
+    size = min(items.size, HASH_CHUNK)
+    steps, rank, row_occ = np.arange(size), np.empty(size, np.int64), np.empty(size, np.int64)
+    dtype = np.min_scalar_type(width - 1)
+    lo = 0
+    for row, (h,) in family.chunk_hashes(items, (HashKind.INDEX,)):
+        n = h.size
+        buckets = bucket_of(h, width).view(np.int64)
+        # The slot of each arrival in the chunk's stable order.
+        rank[:n][np.argsort(buckets.astype(dtype), kind="stable")] = steps[:n]
+        chunk_counts = np.bincount(buckets, minlength=width)
+        # Per bucket: the count before the chunk, plus one, less the slots
+        # of the smaller buckets.
+        base = counts[row] + 1
+        base[1:] -= np.cumsum(chunk_counts[:-1])
+        out = occ[lo : lo + n] if row == 0 else row_occ[:n]
+        # Every bucket is in range; "clip" spares take a checked copy.
+        np.take(base, buckets, out=out, mode="clip")
+        out += rank[:n]
+        if row:
+            np.minimum(occ[lo : lo + n], out, out=occ[lo : lo + n])
+        counts[row] += chunk_counts
+        if row == cm_params.rows - 1:
+            lo += n
     return occ
 
 
@@ -226,7 +265,13 @@ def expand_cm(
 
 
 class _SetSketch(_Sketch):
-    """A set baseline, sized by its first constructor argument."""
+    """A set baseline, sized by its first constructor argument. Each
+    checks its size by the integer rule and its own range, and passes it
+    as ``size``, by name; the seed is checked here."""
+
+    def __init__(self, size: dict, hash_rows: int, master_seed: int) -> None:
+        master_seed = _integer(master_seed, "master_seed must be an integer")
+        super().__init__({**size, "master_seed": master_seed}, master_seed, hash_rows)
 
     @classmethod
     def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
@@ -245,9 +290,10 @@ class MinHashSketch(_SetSketch):
     DEFAULT_K = 128
 
     def __init__(self, k: int = DEFAULT_K, master_seed: int = 0) -> None:
+        k = _integer(k, "k must be an integer")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        super().__init__(dict(k=k, master_seed=master_seed), master_seed, k)
+        super().__init__(dict(k=k), k, master_seed)
         self.k = k
         self.mins = np.full(k, np.inf, dtype=np.float64)
 
@@ -286,9 +332,10 @@ class HllSketch(_SetSketch):
     DEFAULT_M = 11
 
     def __init__(self, m_bits: int = DEFAULT_M, master_seed: int = 0) -> None:
+        m_bits = _integer(m_bits, "m_bits must be an integer")
         if not 1 <= m_bits < 64:
             raise ValueError(f"need 1 <= m_bits < 64, got {m_bits}")
-        super().__init__(dict(m_bits=m_bits, master_seed=master_seed), master_seed, 1)
+        super().__init__(dict(m_bits=m_bits), 1, master_seed)
         self.m_bits = m_bits
         self.n_registers = 1 << m_bits
         self.registers = np.zeros(self.n_registers, dtype=np.uint8)
@@ -364,9 +411,10 @@ class MaxLogHashSketch(_SetSketch):
     DEFAULT_K = 128
 
     def __init__(self, k: int = DEFAULT_K, master_seed: int = 0) -> None:
+        k = _integer(k, "k must be an integer")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        super().__init__(dict(k=k, master_seed=master_seed), master_seed, k)
+        super().__init__(dict(k=k), k, master_seed)
         self.k = k
         self.maxlogs = np.full(k, -1, dtype=np.int64)
         self.unique_flags = np.ones(k, dtype=bool)
@@ -423,9 +471,10 @@ class DotHashSketch(_SetSketch):
     DEFAULT_D = 1024
 
     def __init__(self, d: int = DEFAULT_D, master_seed: int = 0) -> None:
+        d = _integer(d, "d must be an integer")
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        super().__init__(dict(d=d, master_seed=master_seed), master_seed, d)
+        super().__init__(dict(d=d), d, master_seed)
         self.d = d
         self.vec = np.zeros(d, dtype=np.float64)
         self._scale = 1.0 / np.sqrt(d)

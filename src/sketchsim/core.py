@@ -142,7 +142,8 @@ class SketchParams:
     constructing params with an explicit width is meant for tests and
     differential experiments. ``rows`` and ``width`` are taken as budgets
     are: a bool or a non-integer raises ``TypeError``, and a value below 1
-    ``ValueError``.
+    ``ValueError``. ``master_seed`` follows the same integer rule; any
+    integer is taken, and hashing reads it modulo 2**64.
     """
 
     rows: int
@@ -155,6 +156,8 @@ class SketchParams:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
+        seed = _integer(self.master_seed, "master_seed must be an integer")
+        object.__setattr__(self, "master_seed", seed)
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,15 @@ ADAPTER_ROWS = 2
 READ_BLOCK = 1 << 13
 
 
+# An empty 8-byte blake2b state: a copy is cheaper to start than a new hash.
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
 def token_digest(token: str) -> bytes:
     """The 8-byte blake2b digest of a text token; its little-endian value is the id."""
-    return hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    h = _BLAKE2B_8.copy()
+    h.update(token.encode("utf-8"))
+    return h.digest()
 
 
 def token_id(token: str) -> int:
@@ -104,9 +110,12 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
     non-empty fields, or bytes that are not UTF-8 raise
     :class:`StreamFormatError` naming the first such line. The lines are
     taken in blocks of :data:`READ_BLOCK`. One memo per call maps each
-    distinct line to its id, so a line is checked and hashed once per read;
-    it is cleared at a block boundary once it holds more than four blocks
-    of lines, which bounds what a read holds besides its result.
+    distinct line to its row of an id table, so a line is checked and
+    hashed once per read. A block's lines not yet in the memo are checked
+    in the order they first appear and hashed in one batch, and the
+    block's ids are taken from the table by row. The memo is cleared at a
+    block boundary once it holds more than four blocks of lines, which
+    bounds what a read holds besides its result.
     """
     if format not in STREAM_FORMATS:
         raise ValueError(f"unknown stream format {format!r}")
@@ -128,7 +137,9 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
             items = np.fromfile(fh, dtype="<u8", count=size // 8)
         return items.astype(np.uint64, copy=False)
 
-    memo = _LineIds(format == "ipcsv")
+    ipcsv = format == "ipcsv"
+    memo = _LineRows()
+    table = np.empty(0, np.uint64)  # the id of each memo row
     out = np.empty(0, np.uint64)
     n = 0  # lines before the current block
     # Undecodable bytes become lone surrogates, which token_digest cannot
@@ -136,47 +147,88 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while block := list(itertools.islice(fh, READ_BLOCK)):
             if len(memo) > 4 * READ_BLOCK:
-                memo = _LineIds(memo.ipcsv)
-            try:
-                ids = np.fromiter(map(memo.__getitem__, block), np.uint64, len(block))
-            except StreamFormatError as exc:
-                # Lines are looked up in order and a failing line is never
-                # stored, so the block's first line missing from the memo
-                # is the first failing line of the file.
-                lineno = n + next(i for i, line in enumerate(block) if line not in memo) + 1
-                raise StreamFormatError(f"{path}: line {lineno}: {exc}") from None
+                memo = _LineRows()
+            rows = np.fromiter(map(memo.__getitem__, block), np.intp, len(block))
+            if memo.new:
+                try:
+                    ids = _line_ids(memo.new, ipcsv)
+                except _BadLine as exc:
+                    # A failing line is new in its block, and new lines are
+                    # checked in the order they are first seen, so the first
+                    # failing one is the file's first failing line.
+                    lineno = n + block.index(exc.line) + 1
+                    raise StreamFormatError(f"{path}: line {lineno}: {exc}") from None
+                table.resize(len(memo), refcheck=False)
+                table[-len(ids) :] = ids
+                memo.new = []
             if n + len(block) > out.size:
                 out.resize(max(n + len(block), out.size + out.size // 4), refcheck=False)
-            out[n : n + len(block)] = ids
+            # Every row is in range; "clip" spares take a checked copy.
+            np.take(table, rows, out=out[n : n + len(block)], mode="clip")
             n += len(block)
     out.resize(n, refcheck=False)
     return out
 
 
-class _LineIds(dict):
-    """Maps a raw line to its id; a new line is checked and hashed."""
+class _LineRows(dict):
+    """Maps a raw line to its row of the read's id table. A line not yet
+    seen takes the next row and is queued in ``new`` to be checked and
+    hashed."""
 
-    def __init__(self, ipcsv: bool) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.ipcsv = ipcsv
+        self.new: List[str] = []
 
     def __missing__(self, line: str) -> int:
-        token = line.strip()
-        if not token:
-            raise StreamFormatError("empty token")
-        if self.ipcsv:
-            src, comma, dst = token.partition(",")
-            if not comma or "," in dst:
-                raise StreamFormatError(f"expected 'src,dst', got {token!r}")
-            src, dst = src.strip(), dst.strip()
-            if not (src and dst):
-                raise StreamFormatError(f"empty field in {token!r}")
-            token = src + "," + dst
+        row = self[line] = len(self)
+        self.new.append(line)
+        return row
+
+
+class _BadLine(StreamFormatError):
+    """``line`` fails the line rule; the message says how."""
+
+    def __init__(self, line: str, message: str) -> None:
+        super().__init__(message)
+        self.line = line
+
+
+def _line_token(line: str, ipcsv: bool) -> str:
+    """The token of a raw line, or StreamFormatError if it has none."""
+    token = line.strip()
+    if not token:
+        raise StreamFormatError("empty token")
+    if ipcsv:
+        src, comma, dst = token.partition(",")
+        if not comma or "," in dst:
+            raise StreamFormatError(f"expected 'src,dst', got {token!r}")
+        src, dst = src.strip(), dst.strip()
+        if not (src and dst):
+            raise StreamFormatError(f"empty field in {token!r}")
+        token = src + "," + dst
+    return token
+
+
+def _line_ids(lines: List[str], ipcsv: bool) -> np.ndarray:
+    """The ids of ``lines``: each is checked in order, and their tokens are
+    hashed in one batch. The first line that has no token or is not UTF-8
+    raises :class:`_BadLine`."""
+    tokens, failed = [], None
+    for line in lines:
         try:
-            value = self[line] = token_id(token)
-        except UnicodeEncodeError:
-            raise StreamFormatError("not valid UTF-8") from None
-        return value
+            tokens.append(_line_token(line, ipcsv))
+        except StreamFormatError as exc:
+            failed = _BadLine(line, str(exc))
+            break
+    try:
+        digests = b"".join(map(token_digest, tokens))
+    except UnicodeEncodeError as exc:
+        # The first token that fails to encode comes before any line that
+        # failed the check, and equal tokens fail alike.
+        raise _BadLine(lines[tokens.index(exc.object)], "not valid UTF-8") from None
+    if failed is not None:
+        raise failed
+    return np.frombuffer(digests, "<u8")
 
 
 # -- Metrics ------------------------------------------------------------

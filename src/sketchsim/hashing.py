@@ -35,7 +35,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from sketchsim.core import integer_id, item_ids
+from sketchsim.core import _integer, integer_id, item_ids
 
 MASK64 = (1 << 64) - 1
 
@@ -135,7 +135,8 @@ class HashFamily:
     """Deterministic family of row-indexed hash functions.
 
     Args:
-        master_seed: 64-bit experiment seed (taken modulo 2**64).
+        master_seed: 64-bit experiment seed, an integer taken modulo
+            2**64; a bool or a non-integer raises ``TypeError``.
         rows: number of rows the family serves; each row gets its own
             seed per hash kind.
     """
@@ -145,7 +146,7 @@ class HashFamily:
     def __init__(self, master_seed: int, rows: int) -> None:
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
-        self.master_seed = master_seed & MASK64
+        self.master_seed = _integer(master_seed, "master_seed must be an integer") & MASK64
         self.rows = rows
         # The seed of (row, kind) is mix64(master + (1 + 4*row + kind) *
         # GOLDEN mod 2**64); uint64 arithmetic wraps as the mod does. The

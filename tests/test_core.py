@@ -77,10 +77,14 @@ class TestSketchParams:
         [
             dict(rows=0, width=4, master_seed=0),
             dict(rows=1, width=0, master_seed=0),
+            dict(rows=1, width=8, master_seed=1.5),
         ],
     )
     def test_rejects_degenerate_geometry(self, kwargs):
-        with pytest.raises(ValueError):
+        # A size below 1 is out of range; a seed that is not an integer
+        # has the wrong type, and is refused here, not at the first insert.
+        error = TypeError if isinstance(kwargs["master_seed"], float) else ValueError
+        with pytest.raises(error):
             SketchParams(**kwargs)
 
 

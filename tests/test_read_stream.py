@@ -94,6 +94,25 @@ class TestMessages:
         path.write_text("a,b\nc,d\n" * 5 + "\n" + "a,b\n" * 3 + "\n")
         assert read_error(path, fmt) == f"{path}: line 11: empty token"
 
+    @pytest.mark.parametrize("block", [3, None])
+    @pytest.mark.parametrize("other", [b"\n", b"a,b,c\n"], ids=["empty", "three-field"])
+    @pytest.mark.parametrize("not_utf8_first", [True, False])
+    def test_first_of_two_kinds_of_bad_line(
+        self, tmp_path, monkeypatch, block, other, not_utf8_first
+    ):
+        # Both bad lines share one block, so a read that checked the block's
+        # new lines and only then encoded them would name the wrong one.
+        if block is not None:
+            monkeypatch.setattr(harness, "READ_BLOCK", block, raising=False)
+        bad = [b"a\xff,b\n", other] if not_utf8_first else [other, b"a\xff,b\n"]
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"".join([b"1.1.1.1,2.2.2.2\n", *bad, b"1.1.1.1,2.2.2.2\n"]))
+        with pytest.raises(StreamFormatError) as expected:
+            reference_read(path, "ipcsv")
+        assert str(expected.value).startswith(f"{path}: line 2: ")
+        assert ("not valid UTF-8" in str(expected.value)) == not_utf8_first
+        assert read_error(path, "ipcsv") == str(expected.value)
+
     @pytest.mark.parametrize("line", ["1.2.3.4,", ",", " , 5.6.7.8", "1.2.3.4,\t "])
     def test_empty_field(self, tmp_path, line):
         path = tmp_path / "s.csv"

@@ -206,7 +206,10 @@ class TestExpansion:
         want = reference_occurrence_ids(items, reference_occurrence_numbers(items))
         assert np.array_equal(expand_exact_ids(items), want)
 
-    @pytest.mark.parametrize("rows,width", [(1, 8192), (2, 8192), (3, 1000)])
+    # 65,536 is the widest uint16 bucket range; the next widths take wider buckets.
+    @pytest.mark.parametrize(
+        "rows,width", [(1, 8192), (2, 8192), (3, 1000), (1, 65536), (1, 65537), (2, 70_000)]
+    )
     def test_cm_ids_match_the_full_length_form(self, rows, width):
         items = zipf_stream(ZipfSpec(3 * HASH_CHUNK + 77, 20_000, 0.6, 6))
         params = SketchParams(rows=rows, width=width, master_seed=9)
@@ -245,6 +248,15 @@ class TestExpansion:
         # buffer: the buckets are freed once numbered.
         assert ids.nbytes == items.nbytes
         assert peak < 3.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
+
+    def test_cm_expansion_holds_under_2_batches(self):
+        items = _expansion_batch(False)
+        params = SketchParams(rows=2, width=8192, master_seed=1)
+        peak, ids = traced_peak(expand_cm_ids, items, params)
+        # The result, written chunk by chunk, the table of running bucket
+        # counts and chunk buffers.
+        assert ids.nbytes == items.nbytes
+        assert peak < 2 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
 
     def test_cm_expansion_holds_under_4_3_batches(self):
         items = _expansion_batch(False)

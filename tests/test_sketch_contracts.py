@@ -12,9 +12,10 @@ they come as an array, a list or a scalar, and Python ints outside
 outside the sketches (the adapters, the oracle, the split and the hash
 family) and the per-item paths: the oracle's, ``OccurrenceItem``,
 ``expand_cm``, a one-item hash view, and the tests' exact expansion. An
-integer array of any shape is taken as its flat batch. Every budget, and
-the rows and width of ``SketchParams``, is refused by name when it is a
-bool or not an integer.
+integer array of any shape is taken as its flat batch. Every budget, the
+rows and width of ``SketchParams``, each set baseline's size and every
+master seed are refused by name when they are a bool or not an integer;
+a negative seed hashes as its value modulo 2**64.
 """
 
 import itertools
@@ -480,6 +481,22 @@ BUDGET_RULES = {
 }
 
 
+# Every constructor that takes a master seed, by name.
+SEEDED = {
+    **{
+        cls.__name__: lambda seed, cls=cls: cls(8, seed)
+        for cls in (MinHashSketch, MaxLogHashSketch, DotHashSketch)
+    },
+    "HllSketch": lambda seed: HllSketch(4, seed),
+    **{
+        f"{cls.__name__}.from_budget": lambda seed, cls=cls: cls.from_budget(1024, 1, seed)
+        for cls in BUDGET_CLASSES
+    },
+    "SketchParams": lambda seed: params(1, 8, seed),
+    "HashFamily": lambda seed: HashFamily(seed, 1),
+}
+
+
 def refusal(name, value):
     """The id rule's wording, for the argument ``name``."""
     return rf"^{name} must be an integer, got {type(value).__name__} {value!r}$"
@@ -504,6 +521,32 @@ class TestBudgetArguments:
         kwargs = {**dict(rows=2, width=4, master_seed=0), name: bad}
         with pytest.raises(TypeError, match=refusal(name, bad)):
             SketchParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "cls,name",
+        [(MinHashSketch, "k"), (MaxLogHashSketch, "k"), (DotHashSketch, "d"), (HllSketch, "m_bits")],
+    )
+    @pytest.mark.parametrize("bad", [4.0, True])
+    def test_set_sizes_refuse_non_integers(self, cls, name, bad):
+        with pytest.raises(TypeError, match=refusal(name, bad)):
+            cls(**{name: bad})
+
+    @pytest.mark.parametrize("maker", list(SEEDED))
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_seeds_refuse_non_integers(self, maker, bad):
+        # Refused when built, not at the first insert's hashing.
+        with pytest.raises(TypeError, match=refusal("master_seed", bad)):
+            SEEDED[maker](bad)
+
+    @pytest.mark.parametrize("cls", BUDGET_CLASSES, ids=lambda cls: cls.__name__)
+    def test_seeds_are_python_ints_that_hash_modulo_2_64(self, cls):
+        negative, wrapped, numpy_seed = (
+            cls.from_budget(1024, 1, seed) for seed in (-3, (1 << 64) - 3, np.int64(-3))
+        )
+        assert negative.master_seed == -3 and type(numpy_seed.master_seed) is int
+        assert pickle.dumps(numpy_seed) == pickle.dumps(negative)
+        # The hash family is where the seed enters the hashes.
+        assert np.array_equal(negative.hash._seeds, wrapped.hash._seeds)
 
     @pytest.mark.parametrize("cls", BUDGET_CLASSES, ids=lambda cls: cls.__name__)
     def test_numpy_integers_size_as_python_ints(self, cls):
