@@ -17,11 +17,11 @@ three times in one int64 buffer that becomes its result, with no stable
 sort and no scatter, and ends in one remainder. Its keys reach
 n² + n - 1, so it refuses a batch of more than ``MAX_OCCURRENCE_BATCH``
 (3,037,000,499) ids, where they would wrap int64. The cm adapter counts
-per bucket instead: one pass over the hashing chunks keeps each row's
-table of running bucket counts and ranks a chunk's arrivals within
-their buckets with one stable argsort of narrow buckets. The adapters
-then write each id over the occurrence number it is made from, one
-hashing chunk at a time.
+per bucket instead: one walk of the counter sketches' slot pass,
+``HashFamily.slots``, keeps each row's table of running bucket counts
+and ranks a chunk's arrivals within their buckets with one stable
+argsort of narrow buckets. The adapters then write each id over the
+occurrence number it is made from, one hashing chunk at a time.
 
 All baselines accept plain 64-bit item ids; use the adapters to feed
 them multiset streams.
@@ -43,7 +43,7 @@ and otherwise ignores ``rows``. It gives MinHash and MaxLogHash
 ``k = max(1, memory_bytes // 8)`` registers, DotHash as many
 coordinates, and HLL ``m_bits``, the largest m with 2**m <=
 memory_bytes, clamped to [4, 26]. Each constructor takes its size and
-``master_seed`` by the same integer rule.
+``master_seed`` by the one integer-argument rule, ``core.integer_arg``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from sketchsim.core import (
     DegenerateEstimateError,
     ItemId,
     SketchParams,
-    _integer,
     check_budget,
+    integer_arg,
     integer_id,
     item_ids,
 )
@@ -68,7 +68,6 @@ from sketchsim.hashing import (
     MASK64,
     HashFamily,
     HashKind,
-    bucket_of,
     close_hash,
     mix64,
     mix64_into,
@@ -200,15 +199,15 @@ def _cm_occurrences(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
     """Each arrival's count-min occurrence number, as int64.
 
     The count-min counter an arrival reads is the running count of its
-    bucket, so one pass over the hashing chunks keeps each row's table of
-    running bucket counts. In a chunk, an arrival's count is the table's
-    count before the chunk plus its rank among the chunk's arrivals in
-    its bucket, which a stable argsort of the buckets gives: its slot in
-    sorted order, less the slots of the smaller buckets. The buckets are
-    sorted in the narrowest unsigned dtype that holds them, where numpy's
-    stable sort of 16 bits or fewer is a radix sort. The result takes
-    the minimum over rows, and each row's table then adds the chunk's
-    bucket counts.
+    bucket, so one walk of the slot pass, ``HashFamily.slots``, keeps each
+    row's table of running bucket counts. In a chunk, an arrival's count
+    is the table's count before the chunk plus its rank among the chunk's
+    arrivals in its bucket, which a stable argsort of the buckets gives:
+    its slot in sorted order, less the slots of the smaller buckets. The
+    buckets are sorted in the narrowest unsigned dtype that holds them,
+    where numpy's stable sort of 16 bits or fewer is a radix sort. The
+    result takes the minimum over rows, and each row's table then adds
+    the chunk's bucket counts.
     """
     width = cm_params.width
     family = HashFamily(cm_params.master_seed, cm_params.rows)
@@ -218,9 +217,8 @@ def _cm_occurrences(items: np.ndarray, cm_params: SketchParams) -> np.ndarray:
     steps, rank, row_occ = np.arange(size), np.empty(size, np.int64), np.empty(size, np.int64)
     dtype = np.min_scalar_type(width - 1)
     lo = 0
-    for row, (h,) in family.chunk_hashes(items, (HashKind.INDEX,)):
-        n = h.size
-        buckets = bucket_of(h, width).view(np.int64)
+    for row, buckets, _ in family.slots(items, width, signed=False):
+        n = buckets.size
         # The slot of each arrival in the chunk's stable order.
         rank[:n][np.argsort(buckets.astype(dtype), kind="stable")] = steps[:n]
         chunk_counts = np.bincount(buckets, minlength=width)
@@ -266,11 +264,11 @@ def expand_cm(
 
 class _SetSketch(_Sketch):
     """A set baseline, sized by its first constructor argument. Each
-    checks its size by the integer rule and its own range, and passes it
-    as ``size``, by name; the seed is checked here."""
+    takes its size by ``core.integer_arg`` in its own range and passes it
+    as ``size``, by name; the seed is taken here."""
 
     def __init__(self, size: dict, hash_rows: int, master_seed: int) -> None:
-        master_seed = _integer(master_seed, "master_seed must be an integer")
+        master_seed = integer_arg(master_seed, "master_seed")
         super().__init__({**size, "master_seed": master_seed}, master_seed, hash_rows)
 
     @classmethod
@@ -290,9 +288,7 @@ class MinHashSketch(_SetSketch):
     DEFAULT_K = 128
 
     def __init__(self, k: int = DEFAULT_K, master_seed: int = 0) -> None:
-        k = _integer(k, "k must be an integer")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = integer_arg(k, "k", 1)
         super().__init__(dict(k=k), k, master_seed)
         self.k = k
         self.mins = np.full(k, np.inf, dtype=np.float64)
@@ -332,9 +328,7 @@ class HllSketch(_SetSketch):
     DEFAULT_M = 11
 
     def __init__(self, m_bits: int = DEFAULT_M, master_seed: int = 0) -> None:
-        m_bits = _integer(m_bits, "m_bits must be an integer")
-        if not 1 <= m_bits < 64:
-            raise ValueError(f"need 1 <= m_bits < 64, got {m_bits}")
+        m_bits = integer_arg(m_bits, "m_bits", 1, 63)
         super().__init__(dict(m_bits=m_bits), 1, master_seed)
         self.m_bits = m_bits
         self.n_registers = 1 << m_bits
@@ -411,9 +405,7 @@ class MaxLogHashSketch(_SetSketch):
     DEFAULT_K = 128
 
     def __init__(self, k: int = DEFAULT_K, master_seed: int = 0) -> None:
-        k = _integer(k, "k must be an integer")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = integer_arg(k, "k", 1)
         super().__init__(dict(k=k), k, master_seed)
         self.k = k
         self.maxlogs = np.full(k, -1, dtype=np.int64)
@@ -471,9 +463,7 @@ class DotHashSketch(_SetSketch):
     DEFAULT_D = 1024
 
     def __init__(self, d: int = DEFAULT_D, master_seed: int = 0) -> None:
-        d = _integer(d, "d must be an integer")
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
+        d = integer_arg(d, "d", 1)
         super().__init__(dict(d=d), d, master_seed)
         self.d = d
         self.vec = np.zeros(d, dtype=np.float64)

@@ -5,6 +5,12 @@ the total memory and a row count, one check, :func:`check_budget`, judges
 both, and the number of counters per row follows from the variant's
 per-slot byte cost. Keeping the budget authoritative (and the width always
 derived) is what makes cross-algorithm accuracy comparisons memory-fair.
+
+Two rules judge what callers pass in. Every item id passes
+:func:`integer_id` or, as a batch, :func:`item_ids`. Every other integer
+argument (a budget, a size, a row, a seed, a count) passes
+:func:`integer_arg`, which refuses a bool or a non-integer by name, takes
+a numpy integer as its Python int, and checks the argument's bounds.
 """
 
 from __future__ import annotations
@@ -29,6 +35,21 @@ def _integer(value, rule: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{rule}, got {type(value).__name__} {value!r}")
+
+
+def integer_arg(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """The integer argument ``name`` as a Python int: every integer
+    argument's one rule. A bool or a non-integer, such as a float, raises
+    ``TypeError`` naming it, and a value below ``low`` or above ``high``
+    ``ValueError``."""
+    value = _integer(value, f"{name} must be an integer")
+    if (low is not None and value < low) or (high is not None and value > high):
+        if high is not None:
+            span = f"in [{low}, {high}]"
+        else:
+            span = "nonnegative" if low == 0 else f">= {low}"
+        raise ValueError(f"{name} must be {span}, got {value}")
+    return value
 
 
 def integer_id(item) -> int:
@@ -96,11 +117,10 @@ class Algo(str, enum.Enum):
 
 def check_budget(memory_bytes: int, rows: int) -> tuple[int, int]:
     """``(memory_bytes, rows)`` as Python ints, after every budget's one
-    check: a bool or a non-integer raises ``TypeError`` naming its
-    argument, and a value below 1 ``ValueError``. Each sketch's sizing
-    rule reads the pair this returns."""
-    memory_bytes = _integer(memory_bytes, "memory_bytes must be an integer")
-    rows = _integer(rows, "rows must be an integer")
+    check: each passes :func:`integer_arg`, and a value below 1 raises
+    ``ValueError`` naming both. Each sketch's sizing rule reads the pair
+    this returns."""
+    memory_bytes, rows = integer_arg(memory_bytes, "memory_bytes"), integer_arg(rows, "rows")
     if memory_bytes < 1 or rows < 1:
         raise ValueError(f"memory_bytes and rows must be positive, got ({memory_bytes}, {rows})")
     return memory_bytes, rows
@@ -118,13 +138,12 @@ def derive_width(memory_bytes: int, rows: int, slot_bytes: int) -> int:
         ``memory_bytes // (rows * slot_bytes)``, always at least 1.
 
     Raises:
-        TypeError, ValueError: from :func:`check_budget`, or ValueError if
-            ``slot_bytes`` is below 1.
+        TypeError, ValueError: from :func:`check_budget`, or from
+            :func:`integer_arg` if ``slot_bytes`` is not an integer >= 1.
         BudgetTooSmallError: if the budget cannot fit one slot per row.
     """
     memory_bytes, rows = check_budget(memory_bytes, rows)
-    if slot_bytes < 1:
-        raise ValueError(f"slot_bytes must be positive, got {slot_bytes}")
+    slot_bytes = integer_arg(slot_bytes, "slot_bytes", 1)
     width = memory_bytes // (rows * slot_bytes)
     if width < 1:
         raise BudgetTooSmallError(
@@ -140,10 +159,9 @@ class SketchParams:
 
     ``width`` is normally derived from the budget via :func:`derive_width`;
     constructing params with an explicit width is meant for tests and
-    differential experiments. ``rows`` and ``width`` are taken as budgets
-    are: a bool or a non-integer raises ``TypeError``, and a value below 1
-    ``ValueError``. ``master_seed`` follows the same integer rule; any
-    integer is taken, and hashing reads it modulo 2**64.
+    differential experiments. Each field is taken by :func:`integer_arg`:
+    ``rows`` and ``width`` must be at least 1, and ``master_seed`` may be
+    any integer, which hashing reads modulo 2**64.
     """
 
     rows: int
@@ -151,13 +169,8 @@ class SketchParams:
     master_seed: int
 
     def __post_init__(self) -> None:
-        for name in ("rows", "width"):
-            value = _integer(getattr(self, name), f"{name} must be an integer")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
-        seed = _integer(self.master_seed, "master_seed must be an integer")
-        object.__setattr__(self, "master_seed", seed)
+        for name, low in (("rows", 1), ("width", 1), ("master_seed", None)):
+            object.__setattr__(self, name, integer_arg(getattr(self, name), name, low))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sketchsim.core import item_ids
+from sketchsim.core import integer_arg, item_ids
 from sketchsim.hashing import HASH_CHUNK, mix64, mix64_array
 
 
@@ -31,7 +31,9 @@ class ZipfSpec:
     """Parameters for one synthetic stream draw.
 
     Probabilities are proportional to rank^(-alpha) over ranks
-    1..n_distinct; alpha = 0 degenerates to the uniform law.
+    1..n_distinct; alpha = 0 degenerates to the uniform law. ``n_items``
+    and ``n_distinct`` are integers of at least 1 and ``seed`` one of at
+    least 0, each taken by ``core.integer_arg``.
     """
 
     n_items: int
@@ -40,15 +42,11 @@ class ZipfSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_items < 1:
-            raise ValueError("n_items must be positive")
-        if self.n_distinct < 1:
-            raise ValueError("n_distinct must be positive")
+        for name, low in (("n_items", 1), ("n_distinct", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer_arg(getattr(self, name), name, low))
         # Written so that NaN fails too.
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def rank_ids(n_distinct: int) -> np.ndarray:
@@ -110,14 +108,16 @@ def random_split(
 
     Order is preserved within each output, and the two outputs partition
     the input: their multiset sum equals the input multiset exactly.
-    Element i goes first when the i-th uniform drawn with ``seed`` is
-    below p. The draws are walked twice in chunks of ``HASH_CHUNK``,
-    which yields the same doubles as one full-length draw: once to size
-    the two outputs, then again to fill them by index, so apart from the
-    outputs no temporary is longer than a chunk.
+    Element i goes first when the i-th uniform drawn with ``seed``, an
+    integer of at least 0, is below p. The draws are walked twice in
+    chunks of ``HASH_CHUNK``, which yields the same doubles as one
+    full-length draw: once to size the two outputs, then again to fill
+    them by index, so apart from the outputs no temporary is longer than
+    a chunk.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
+    seed = integer_arg(seed, "seed", 0)
     stream = item_ids(stream)
     n = len(stream)
     starts = range(0, n, HASH_CHUNK)

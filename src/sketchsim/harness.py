@@ -111,11 +111,13 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
     :class:`StreamFormatError` naming the first such line. The lines are
     taken in blocks of :data:`READ_BLOCK`. One memo per call maps each
     distinct line to its row of an id table, so a line is checked and
-    hashed once per read. A block's lines not yet in the memo are checked
-    in the order they first appear and hashed in one batch, and the
-    block's ids are taken from the table by row. The memo is cleared at a
-    block boundary once it holds more than four blocks of lines, which
-    bounds what a read holds besides its result.
+    hashed once per read. A block's lines not yet in the memo are each
+    checked, encoded and digested in one step, in the order they first
+    appear, and the first that fails raises there; their digests then
+    fill the table in one batch, and the block's ids are taken from the
+    table by row. The memo is cleared at a block boundary once it holds
+    more than four blocks of lines, which bounds what a read holds
+    besides its result.
     """
     if format not in STREAM_FORMATS:
         raise ValueError(f"unknown stream format {format!r}")
@@ -150,16 +152,19 @@ def read_stream(path: str, format: str = "text") -> np.ndarray:
                 memo = _LineRows()
             rows = np.fromiter(map(memo.__getitem__, block), np.intp, len(block))
             if memo.new:
-                try:
-                    ids = _line_ids(memo.new, ipcsv)
-                except _BadLine as exc:
-                    # A failing line is new in its block, and new lines are
-                    # checked in the order they are first seen, so the first
-                    # failing one is the file's first failing line.
-                    lineno = n + block.index(exc.line) + 1
-                    raise StreamFormatError(f"{path}: line {lineno}: {exc}") from None
+                digests = []
+                for line in memo.new:
+                    try:
+                        digests.append(token_digest(_line_token(line, ipcsv)))
+                    except (StreamFormatError, UnicodeEncodeError) as exc:
+                        # A failing line is new in its block, and new lines
+                        # are checked in the order they are first seen, so
+                        # the first failing one is the file's first.
+                        why = "not valid UTF-8" if isinstance(exc, UnicodeEncodeError) else exc
+                        lineno = n + block.index(line) + 1
+                        raise StreamFormatError(f"{path}: line {lineno}: {why}") from None
                 table.resize(len(memo), refcheck=False)
-                table[-len(ids) :] = ids
+                table[-len(digests) :] = np.frombuffer(b"".join(digests), "<u8")
                 memo.new = []
             if n + len(block) > out.size:
                 out.resize(max(n + len(block), out.size + out.size // 4), refcheck=False)
@@ -185,14 +190,6 @@ class _LineRows(dict):
         return row
 
 
-class _BadLine(StreamFormatError):
-    """``line`` fails the line rule; the message says how."""
-
-    def __init__(self, line: str, message: str) -> None:
-        super().__init__(message)
-        self.line = line
-
-
 def _line_token(line: str, ipcsv: bool) -> str:
     """The token of a raw line, or StreamFormatError if it has none."""
     token = line.strip()
@@ -207,28 +204,6 @@ def _line_token(line: str, ipcsv: bool) -> str:
             raise StreamFormatError(f"empty field in {token!r}")
         token = src + "," + dst
     return token
-
-
-def _line_ids(lines: List[str], ipcsv: bool) -> np.ndarray:
-    """The ids of ``lines``: each is checked in order, and their tokens are
-    hashed in one batch. The first line that has no token or is not UTF-8
-    raises :class:`_BadLine`."""
-    tokens, failed = [], None
-    for line in lines:
-        try:
-            tokens.append(_line_token(line, ipcsv))
-        except StreamFormatError as exc:
-            failed = _BadLine(line, str(exc))
-            break
-    try:
-        digests = b"".join(map(token_digest, tokens))
-    except UnicodeEncodeError as exc:
-        # The first token that fails to encode comes before any line that
-        # failed the check, and equal tokens fail alike.
-        raise _BadLine(lines[tokens.index(exc.object)], "not valid UTF-8") from None
-    if failed is not None:
-        raise failed
-    return np.frombuffer(digests, "<u8")
 
 
 # -- Metrics ------------------------------------------------------------
@@ -422,7 +397,10 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
 
     Cells sharing a seed share one dataset pair and one oracle truth.
     Cells run sequentially so throughput numbers never reflect
-    contention. The output files are closed however the sweep ends.
+    contention. The output files are opened, and truncated to their
+    header, when the first row lands, so a sweep that fails before then
+    leaves them as they were; once open, they are closed however the
+    sweep ends.
     """
     results: List[RunResult] = []
     needs_sets = any(a in _SET_ALGOS for a in cfg.algos)
@@ -431,26 +409,35 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunResult]:
     shared_sets = cfg.from_files and cfg.adapter == "exact"
     set_pair = None
     with contextlib.ExitStack() as stack:
-        sinks = []
-        for path, header, to_line in (
-            (cfg.out_csv, CSV_HEADER + "\n", RunResult.to_csv_row),
-            (cfg.out_jsonl, "", RunResult.to_json),
-        ):
-            if path:
-                fh = stack.enter_context(open(path, "w"))
-                fh.write(header)
-                fh.flush()
-                sinks.append((fh, to_line))
+        sinks = None
         for seed, a, b, alpha, j_true in _datasets(cfg):
             if needs_sets and not (shared_sets and set_pair):
                 set_pair = (_expand(a, cfg, seed), _expand(b, cfg, seed))
             for algo, memory, rows in itertools.product(cfg.algos, cfg.memory_bytes, cfg.rows):
                 result = _run_cell(algo, memory, rows, seed, alpha, cfg, (a, b), set_pair, j_true)
                 results.append(result)
+                if sinks is None:
+                    sinks = _open_sinks(cfg, stack)
                 for fh, to_line in sinks:
                     fh.write(to_line(result) + "\n")
                     fh.flush()
     return results
+
+
+def _open_sinks(cfg: ExperimentConfig, stack: contextlib.ExitStack) -> list:
+    """``(file, to_line)`` for each output the sweep names, each opened on
+    ``stack`` and holding its header."""
+    sinks = []
+    for path, header, to_line in (
+        (cfg.out_csv, CSV_HEADER + "\n", RunResult.to_csv_row),
+        (cfg.out_jsonl, "", RunResult.to_json),
+    ):
+        if path:
+            fh = stack.enter_context(open(path, "w"))
+            fh.write(header)
+            fh.flush()
+            sinks.append((fh, to_line))
+    return sinks
 
 
 def summarize(results: Sequence[RunResult]) -> List[dict]:

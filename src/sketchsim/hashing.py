@@ -14,10 +14,13 @@ Every vector hash comes from one chunked pass,
 :meth:`HashFamily.chunk_hashes`. It walks a batch in chunks of
 :data:`HASH_CHUNK` items, premixes each chunk once, and then mixes the
 premix with each (row, kind) seed in place, in buffers reused for the
-whole pass, so no array as long as the batch is allocated. The grid
-sketches, SALSA, MinHash, MaxLogHash and HLL consume the pass chunk by
-chunk; the ``*_many`` methods copy its output into one array. DotHash,
-built for small sets, hashes one item at a time over all its rows with
+whole pass, so no array as long as the batch is allocated. MinHash,
+MaxLogHash and HLL consume the pass chunk by chunk, and the ``*_many``
+methods copy its output into one array. The grid sketches, SALSA and
+the cm adapter read it through the one slot pass,
+:meth:`HashFamily.slots`, which reduces each index hash to its bucket
+with :func:`bucket_of` and each sign hash to its top bit. DotHash, built
+for small sets, hashes one item at a time over all its rows with
 :meth:`HashFamily.row_hashes`.
 
 The pass yields the kinds in :data:`OPEN_KINDS` open: without ``mix64``'s
@@ -35,7 +38,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from sketchsim.core import _integer, integer_id, item_ids
+from sketchsim.core import integer_arg, integer_id, item_ids
 
 MASK64 = (1 << 64) - 1
 
@@ -136,18 +139,17 @@ class HashFamily:
 
     Args:
         master_seed: 64-bit experiment seed, an integer taken modulo
-            2**64; a bool or a non-integer raises ``TypeError``.
-        rows: number of rows the family serves; each row gets its own
-            seed per hash kind.
+            2**64; it and every integer argument of the family's methods
+            pass :func:`sketchsim.core.integer_arg`.
+        rows: number of rows the family serves, at least 1; each row
+            gets its own seed per hash kind.
     """
 
     __slots__ = ("master_seed", "rows", "_seeds")
 
     def __init__(self, master_seed: int, rows: int) -> None:
-        if rows < 1:
-            raise ValueError(f"rows must be >= 1, got {rows}")
-        self.master_seed = _integer(master_seed, "master_seed must be an integer") & MASK64
-        self.rows = rows
+        self.rows = rows = integer_arg(rows, "rows", 1)
+        self.master_seed = integer_arg(master_seed, "master_seed") & MASK64
         # The seed of (row, kind) is mix64(master + (1 + 4*row + kind) *
         # GOLDEN mod 2**64); uint64 arithmetic wraps as the mod does. The
         # tags 1 + 4*row + kind, row-major below, are pairwise distinct;
@@ -159,12 +161,10 @@ class HashFamily:
         self._seeds = mix64_array(tags)
 
     def row_seed(self, kind: HashKind, row: int) -> int:
-        self._check_row(row)
-        return int(self._seeds[row, kind])
+        return int(self._seeds[self._check_row(row), kind])
 
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise ValueError(f"row {row} out of range for {self.rows} rows")
+    def _check_row(self, row: int) -> int:
+        return integer_arg(row, "row", 0, self.rows - 1)
 
     def row_hashes(self, item: int, kind: HashKind) -> np.ndarray:
         """``item``'s hashes under every row's seed of ``kind``, one per row."""
@@ -193,9 +193,7 @@ class HashFamily:
         and the caller may change them in place.
         """
         items = item_ids(items)
-        rows = range(self.rows) if rows is None else rows
-        for row in rows:
-            self._check_row(row)
+        rows = range(self.rows) if rows is None else [self._check_row(row) for row in rows]
         # mix64 opens with the xorshift X, so X(premix ^ seed) equals
         # X(premix) ^ X(seed), and X(premix) is the premix without its
         # closing X. Each chunk keeps that form, and each (row, kind)
@@ -223,6 +221,21 @@ class HashFamily:
                     hashes.append(h)
                 yield row, tuple(hashes)
 
+    def slots(self, items: np.ndarray, width: int, signed: bool = True) -> Iterator[tuple]:
+        """The slot pass of the counter sketches and the cm adapter:
+        ``(row, slot, sign_bit)`` per row and chunk of :meth:`chunk_hashes`.
+        ``slot`` is each arrival's bucket in ``[0, width)`` and, if
+        ``signed``, ``sign_bit`` its sign hash's top bit (1 for +1, 0 for
+        -1), else None; both are int64 views of the pass's buffers, valid
+        until the next step."""
+        width = integer_arg(width, "width", 1)
+        kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
+        for row, hashes in self.chunk_hashes(items, kinds):
+            slot, sign_bit = bucket_of(hashes[0], width).view(np.int64), None
+            if signed:
+                sign_bit = np.right_shift(hashes[1], np.uint64(63), out=hashes[1]).view(np.int64)
+            yield row, slot, sign_bit
+
     def _mixed_many(self, items: np.ndarray, kind: HashKind, row: int) -> np.ndarray:
         """One (kind, row) of :meth:`chunk_hashes` as one array, closed."""
         items = item_ids(items)
@@ -239,8 +252,7 @@ class HashFamily:
 
     def index_hash_many(self, items: np.ndarray, row: int, width: int) -> np.ndarray:
         """Bucket indices in ``[0, width)`` under row ``row``, as int64."""
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
+        width = integer_arg(width, "width", 1)
         return bucket_of(self._mixed_many(items, HashKind.INDEX, row), width).view(np.int64)
 
     def sign_hash_many(self, items: np.ndarray, row: int) -> np.ndarray:
@@ -269,8 +281,7 @@ class HashFamily:
 
     def bit_hash_many(self, items: np.ndarray, bits: int) -> np.ndarray:
         """The top ``bits`` bits of each item's hash, as uint64."""
-        if not 1 <= bits <= 64:
-            raise ValueError(f"bits must be in [1, 64], got {bits}")
+        bits = integer_arg(bits, "bits", 1, 64)
         h = self._mixed_many(items, HashKind.BIT, 0)
         return h >> np.uint64(64 - bits)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from sketchsim.core import ItemId, UndefinedSimilarityError, integer_id, item_ids
+from sketchsim.core import ItemId, UndefinedSimilarityError, integer_arg, integer_id, item_ids
 
 
 def multiset_jaccard(a, b) -> float:
@@ -64,9 +64,7 @@ class ExactMultiset:
         self._counts: Counter[ItemId] = Counter()
         if counts:
             for item, mult in counts.items():
-                if mult < 0:
-                    raise ValueError(f"negative multiplicity {mult} for item {item}")
-                if mult > 0:
+                if integer_arg(mult, "multiplicity", 0):
                     self.insert(item, mult)
 
     @classmethod
@@ -87,10 +85,9 @@ class ExactMultiset:
         return cls._of(Counter(dict(zip(values.tolist(), counts.tolist()))))
 
     def insert(self, item: ItemId, count: int = 1) -> None:
-        """Add ``count`` occurrences of ``item``, an integer id."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self._counts[integer_id(item)] += count
+        """Add ``count`` occurrences, an integer of at least 1, of ``item``,
+        an integer id."""
+        self._counts[integer_id(item)] += integer_arg(count, "count", 1)
 
     def multiplicity(self, item: ItemId) -> int:
         return self._counts[integer_id(item)]

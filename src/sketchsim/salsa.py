@@ -18,14 +18,15 @@ the positionwise maximum of their level maps. Bytes that are not an
 extent start hold 0 in both fields, so in any layout no finer than a
 row's own, a counter is the plain sum of its block's bytes.
 
-The sketch shares its params, budget check, slot pass, counter caps,
-entry points and compatibility checks with the grid sketches of
-:mod:`sketchsim.sketches`, and scores each aligned row with the grid's
+The sketch shares its params, budget check, counter caps, entry points
+and compatibility checks with the grid sketches of
+:mod:`sketchsim.sketches`, its slot pass, ``HashFamily.slots``, with them
+and the cm adapter, and scores each aligned row with the grid's
 :func:`weighted_row_similarity`. Only the row storage and its growth are
 its own.
 
-A batch insert takes the grids' slot pass, which feeds each row its
-chunk of positions and sign bits. The row counts each touched extent's
+A batch insert takes that slot pass, which feeds each row its chunk of
+positions and sign bits. The row counts each touched extent's
 arrivals and +1 signs: with the grids' cut, by one ``bincount`` of a
 sign-offset key when its two bins per byte are fewer than a hash chunk's
 items, and by a sort of the extent starts in a wider row. A counter
@@ -49,7 +50,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from sketchsim.core import Algo, BudgetTooSmallError, RowSaturatedError, SketchParams, check_budget
+from sketchsim.core import Algo, BudgetTooSmallError, RowSaturatedError, SketchParams
+from sketchsim.core import check_budget, integer_arg
 from sketchsim.hashing import HASH_CHUNK
 from sketchsim.sketches import _C_CAPS, _CM_CAPS, _CounterSketch, weighted_row_similarity
 
@@ -95,7 +97,8 @@ class SalsaRow:
     __slots__ = ("width", "level_of", "cm", "c")
 
     def __init__(self, width: int) -> None:
-        if width < 1 or width & (width - 1):
+        width = integer_arg(width, "width", 1)
+        if width & (width - 1):
             raise ValueError(f"width must be a power of two, got {width}")
         self.width = width
         self.level_of = np.zeros(width, dtype=np.int8)
@@ -320,7 +323,7 @@ class SalsaSimilaritySketch(_CounterSketch):
             rows = self.rows
         else:
             rows = [row.copy() for row in self.rows]
-        for row, positions, sign_bits in self._slots(items):
+        for row, positions, sign_bits in self.hash.slots(items, self.params.width):
             rows[row].add_many(positions, sign_bits)
         self.rows = rows
 

@@ -25,12 +25,14 @@ The caps are SALSA's 4-byte caps, from one table by byte length.
 All eight sketches, these and the set baselines, derive from ``_Sketch``,
 which runs ``insert_many`` and ``estimate_jaccard``; each sketch writes
 only its update, ``_insert``, and its raw estimator, ``_jaccard``. The
-grids and SALSA also share ``_CounterSketch``'s sizing and slot pass.
+grids and SALSA also share ``_CounterSketch``'s params and sizing, and
+take their slots from the hash family's one slot pass,
+``HashFamily.slots``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from sketchsim.core import (
     derive_width,
     item_ids,
 )
-from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind, bucket_of
+from sketchsim.hashing import HASH_CHUNK, HashFamily
 
 # Counter caps by byte length: a 2**g-byte counter holds cm up to
 # _CM_CAPS[g] and c within +-_C_CAPS[g], symmetric so that magnitude bounds
@@ -141,8 +143,8 @@ class _Sketch:
 
 
 class _CounterSketch(_Sketch):
-    """Params, budget sizing and the slot pass of every counter sketch;
-    the params are its geometry. Subclasses supply ``_budget_width``."""
+    """Params and budget sizing of every counter sketch; the params are
+    its geometry. Subclasses supply ``_budget_width``."""
 
     def __init__(self, params: SketchParams) -> None:
         super().__init__(params, params.master_seed, params.rows)
@@ -152,17 +154,6 @@ class _CounterSketch(_Sketch):
     def from_budget(cls, memory_bytes: int, rows: int, master_seed: int):
         width = cls._budget_width(memory_bytes, rows)
         return cls(SketchParams(rows=rows, width=width, master_seed=master_seed))
-
-    def _slots(self, items: np.ndarray, signed: bool = True) -> Iterator[tuple]:
-        """``(row, slot, sign_bit)`` per row and hash chunk of ``items``:
-        int64 views, valid until the next step, of each arrival's slot and,
-        if ``signed``, its sign bit (1 for +1, 0 for -1), else None."""
-        kinds = (HashKind.INDEX, HashKind.SIGN) if signed else (HashKind.INDEX,)
-        for row, hashes in self.hash.chunk_hashes(items, kinds):
-            slot, sign_bit = bucket_of(hashes[0], self.params.width), None
-            if signed:
-                sign_bit = np.right_shift(hashes[1], np.uint64(63), out=hashes[1]).view(np.int64)
-            yield row, slot.view(np.int64), sign_bit
 
 
 def _check_range(totals: np.ndarray, signed: bool, what: str) -> None:
@@ -203,7 +194,7 @@ class _GridSketch(_CounterSketch):
         # sign bit (1 for +1), so one count gives both signs per slot.
         bins = 2 * width if signed else width
         counts = np.zeros((self.params.rows, bins), dtype=np.int64)
-        for row, idx, sign_bit in self._slots(items, signed):
+        for row, idx, sign_bit in self.hash.slots(items, width, signed):
             if signed:
                 sign_bit *= width
                 idx += sign_bit

@@ -382,6 +382,26 @@ class TestRunExperiment:
         leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
         assert leaked == []
 
+    @pytest.mark.parametrize(
+        "overrides,error",
+        [
+            (dict(n_items=0), ValueError),
+            (dict(n_distinct=2.5), TypeError),
+            (dict(memory_bytes=(0,)), ValueError),
+        ],
+        ids=["n_items=0", "n_distinct=2.5", "memory_bytes=0"],
+    )
+    def test_a_sweep_that_cannot_start_leaves_its_outputs_alone(self, tmp_path, overrides, error):
+        # The outputs are opened when the first row lands, so a sweep whose
+        # first seed fails does not truncate what the files held.
+        outputs = {"out_csv": tmp_path / "o.csv", "out_jsonl": tmp_path / "o.jsonl"}
+        for path in outputs.values():
+            path.write_text("earlier results\n")
+        cfg = small_config(**{name: str(path) for name, path in outputs.items()}, **overrides)
+        with pytest.raises(error):
+            run_experiment(cfg)
+        assert [path.read_text() for path in outputs.values()] == ["earlier results\n"] * 2
+
 
 class TestBuildSketch:
     def test_set_sizes_from_budget(self):

@@ -8,6 +8,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import sketchsim
 from sketchsim.core import SketchError
 
@@ -213,3 +215,19 @@ def test_budgets_are_checked_in_one_place():
             if reads_budget(node) and id(node) not in allowed
         ]
     assert not found, "memory_bytes compared outside core.check_budget: " + ", ".join(found)
+
+
+@pytest.mark.parametrize("rule,home", [("_integer", "core.py"), ("bucket_of", "hashing.py")])
+def test_a_shared_rule_is_called_only_in_its_module(rule, home):
+    # core.integer_arg applies _integer to every integer argument, and
+    # HashFamily.slots is the one slot pass that reduces hashes to buckets;
+    # a call elsewhere would be a second statement of the rule.
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in ROOT.glob("src/sketchsim/*.py")
+        if path.name != home
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == rule
+    ]
+    assert not calls, f"{rule} called outside {home}: " + ", ".join(calls)

@@ -244,8 +244,8 @@ class TestExpansion:
         items = _expansion_batch(False)
         params = SketchParams(rows=2, width=8192, master_seed=1)
         peak, ids = traced_peak(expand_cm_ids, items, params)
-        # The running minimum, and the second row's buckets and sort
-        # buffer: the buckets are freed once numbered.
+        # The result, a rows x width table of running bucket counts and
+        # chunk buffers, with room to spare.
         assert ids.nbytes == items.nbytes
         assert peak < 3.5 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"
 
@@ -262,6 +262,7 @@ class TestExpansion:
         items = _expansion_batch(False)
         params = SketchParams(rows=2, width=8192, master_seed=1)
         peak, ids = traced_peak(expand_cm_ids, items, params)
-        # The running minimum, and a row's buckets and sort buffer.
+        # The result, a rows x width table of running bucket counts and
+        # chunk buffers, with room to spare.
         assert ids.nbytes == items.nbytes
         assert peak < 4.3 * items.nbytes, f"peak {peak / items.nbytes:.2f}x the batch"

@@ -12,14 +12,18 @@ they come as an array, a list or a scalar, and Python ints outside
 outside the sketches (the adapters, the oracle, the split and the hash
 family) and the per-item paths: the oracle's, ``OccurrenceItem``,
 ``expand_cm``, a one-item hash view, and the tests' exact expansion. An
-integer array of any shape is taken as its flat batch. Every budget, the
-rows and width of ``SketchParams``, each set baseline's size and every
-master seed are refused by name when they are a bool or not an integer;
-a negative seed hashes as its value modulo 2**64.
+integer array of any shape is taken as its flat batch. Every budget and
+every other integer argument (the fields of ``SketchParams``, each set
+baseline's size, every master seed, and the sizes, rows, seeds and counts
+of the hash family, the sizing rules, the Zipf spec, the split and the
+oracle) is refused by name when it is a bool or not an integer, and a
+numpy integer is stored as its Python int; a negative master seed hashes
+as its value modulo 2**64.
 """
 
 import itertools
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -46,10 +50,10 @@ from sketchsim.core import (
     UndefinedSimilarityError,
     derive_width,
 )
-from sketchsim.datagen import random_split
+from sketchsim.datagen import ZipfSpec, random_split
 from sketchsim.hashing import HASH_CHUNK, HashFamily, HashKind
 from sketchsim.oracle import ExactMultiset, multiset_jaccard
-from sketchsim.salsa import SalsaSimilaritySketch, salsa_width
+from sketchsim.salsa import SalsaRow, SalsaSimilaritySketch, salsa_width
 from sketchsim.sketches import (
     CmSimilaritySketch,
     CountSimilaritySketch,
@@ -497,6 +501,36 @@ SEEDED = {
 }
 
 
+# Every other integer argument, as (call taking it by name, name): each set
+# baseline's size, then the arguments of the hash family, the sizing rules,
+# the Zipf spec, the split and the oracle.
+SIZED = [
+    (MinHashSketch, "k"),
+    (MaxLogHashSketch, "k"),
+    (DotHashSketch, "d"),
+    (HllSketch, "m_bits"),
+    *(
+        pytest.param(call, name, id=f"{where}-{name}")
+        for where, name, call in [
+            ("HashFamily", "rows", lambda rows: HashFamily(0, rows)),
+            ("index_hash_many", "row", lambda row: HashFamily(1, 2).index_hash_many([7], row, 8)),
+            ("index_hash_many", "width", lambda width: HashFamily(1, 1).index_hash_many([7], 0, width)),
+            ("bit_hash_many", "bits", lambda bits: HashFamily(1, 1).bit_hash_many([7], bits)),
+            ("derive_width", "slot_bytes", lambda slot_bytes: derive_width(10240, 1, slot_bytes)),
+            ("SalsaRow", "width", SalsaRow),
+            ("ZipfSpec", "n_items", lambda n_items: ZipfSpec(n_items, 10, 0.6, 1)),
+            ("ZipfSpec", "n_distinct", lambda n_distinct: ZipfSpec(100, n_distinct, 0.6, 1)),
+            ("ZipfSpec", "seed", lambda seed: ZipfSpec(100, 10, 0.6, seed)),
+            ("random_split", "seed", lambda seed: random_split(np.arange(4, dtype=np.uint64), 0.5, seed)),
+            ("ExactMultiset", "multiplicity", lambda multiplicity: ExactMultiset({5: multiplicity})),
+            ("ExactMultiset.insert", "count", lambda count: ExactMultiset().insert(3, count)),
+        ]
+    ),
+]
+# A Zipf spec sized as a budget is: its length, its support and its seed.
+ZIPF_BY_BUDGET = types.SimpleNamespace(from_budget=lambda m, r, seed: ZipfSpec(m, r, 0.6, seed))
+
+
 def refusal(name, value):
     """The id rule's wording, for the argument ``name``."""
     return rf"^{name} must be an integer, got {type(value).__name__} {value!r}$"
@@ -522,10 +556,7 @@ class TestBudgetArguments:
         with pytest.raises(TypeError, match=refusal(name, bad)):
             SketchParams(**kwargs)
 
-    @pytest.mark.parametrize(
-        "cls,name",
-        [(MinHashSketch, "k"), (MaxLogHashSketch, "k"), (DotHashSketch, "d"), (HllSketch, "m_bits")],
-    )
+    @pytest.mark.parametrize("cls,name", SIZED)
     @pytest.mark.parametrize("bad", [4.0, True])
     def test_set_sizes_refuse_non_integers(self, cls, name, bad):
         with pytest.raises(TypeError, match=refusal(name, bad)):
@@ -548,7 +579,11 @@ class TestBudgetArguments:
         # The hash family is where the seed enters the hashes.
         assert np.array_equal(negative.hash._seeds, wrapped.hash._seeds)
 
-    @pytest.mark.parametrize("cls", BUDGET_CLASSES, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize(
+        "cls",
+        [*BUDGET_CLASSES, pytest.param(ZIPF_BY_BUDGET, id="ZipfSpec")],
+        ids=lambda cls: cls.__name__,
+    )
     def test_numpy_integers_size_as_python_ints(self, cls):
         # operator.index takes a numpy integer as its Python int.
         s = cls.from_budget(np.int64(1024), np.int32(2), 3)
